@@ -65,14 +65,19 @@ namespace {
 namespace fs = std::filesystem;
 namespace mr = ngram::mr;
 
+// Closed-loop clients, each with a service of its own. Two clients on one
+// service met on its block cache's lock, and how often depended on where
+// the scheduler put the two threads, which moved the Count p99 by a third
+// between runs.
 constexpr int kClientThreads = 2;
-constexpr int kSetupProcesses = 3;
-constexpr int kRounds = 3;  // Batch runs + serving slice, interleaved.
+// Measured rounds; each runs set-up processes, warm batch runs and two
+// serving slices.
+constexpr int kRounds = 3;
+// Set-up processes per round. A serving set-up takes a fraction of a
+// second, so serve-zipf measures three per round.
+constexpr int kBatchSetupsPerRound = 1;
+constexpr int kServeSetupsPerRound = 3;
 constexpr int kShards = 4;
-// Block cache capacity as a share of the decoded blocks: about nine in ten
-// block lookups hit, so the median Count hits and its 99th percentile
-// fetches and decodes a block.
-constexpr double kCacheShare = 0.7;
 constexpr size_t kMinLatencySamples = 1000;  // p99 rests on >= 10 beyond.
 constexpr int kHeadTopKRepeats = 5;
 constexpr double kWarmupShare = 0.1;  // Of the serving time.
@@ -174,6 +179,14 @@ class JsonObject {
   std::string body_;
 };
 
+std::string JsonList(const std::vector<std::string>& items) {
+  std::string out = "[";
+  for (size_t i = 0; i < items.size(); ++i) {
+    out += (i == 0 ? "" : ", ") + items[i];
+  }
+  return out + "]";
+}
+
 std::string NumberList(const std::vector<double>& values) {
   std::string out = "[";
   for (size_t i = 0; i < values.size(); ++i) {
@@ -226,7 +239,8 @@ std::string NgramEnvironment() {
 // --------------------------------------------------------------- serving --
 
 struct Serving {
-  std::unique_ptr<ngram::serve::StatsService> service;
+  // One per client; the first is the one whose opening is timed.
+  std::vector<std::unique_ptr<ngram::serve::StatsService>> services;
   double build_ms = 0;
   double open_ms = 0;
   uint64_t shard_bytes = 0;
@@ -258,12 +272,14 @@ bool TouchBlocks(const ngram::serve::StatsService& service,
   return true;
 }
 
-// Builds shards for `stats` in `dir` and opens a service over them whose
-// block cache holds kCacheShare of the decoded blocks. The decoded size is
-// measured (untimed) by reading every block through an unbounded cache,
-// because cached blocks are decoded and larger than on disk.
+// Builds shards for `stats` in `dir` and opens `count` services over them,
+// each with a block cache that holds `cache_share` of the decoded blocks.
+// The decoded size is measured (untimed) by reading every block through an
+// unbounded cache, because cached blocks are decoded and larger than on
+// disk. Only the first opening is timed.
 Serving OpenServing(const ngram::NgramStatistics& stats,
-                    const std::string& dir, Tracer* tracer) {
+                    const std::string& dir, double cache_share, int count,
+                    Tracer* tracer) {
   Serving serving;
   std::error_code ec;
   fs::remove_all(dir, ec);
@@ -293,7 +309,7 @@ Serving OpenServing(const ngram::NgramStatistics& stats,
     }
     serving.decoded_bytes = (*sizing)->CacheStats().charged_bytes;
     options.cache_bytes = static_cast<size_t>(
-        kCacheShare * static_cast<double>(serving.decoded_bytes));
+        cache_share * static_cast<double>(serving.decoded_bytes));
   }
   begin = NowNs();
   ngram::Result<std::unique_ptr<ngram::serve::StatsService>> opened =
@@ -303,11 +319,15 @@ Serving OpenServing(const ngram::NgramStatistics& stats,
     opened = ngram::serve::StatsService::Open(dir, options);
   }
   serving.open_ms = static_cast<double>(NowNs() - begin) / 1e6;
-  if (!opened.ok()) {
-    serving.error = opened.status().ToString();
-    return serving;
+  for (int i = 0; opened.ok(); ++i) {
+    serving.services.push_back(std::move(*opened));
+    if (i + 1 == count) {
+      return serving;
+    }
+    opened = ngram::serve::StatsService::Open(dir, options);
   }
-  serving.service = std::move(*opened);
+  serving.error = opened.status().ToString();
+  serving.services.clear();
   return serving;
 }
 
@@ -337,13 +357,14 @@ int RunChild(const Args& args, const Workload& workload) {
     ngram::Status status =
         ngram::ReadStatsBinary(args.child_dir + "/reference.ngs", &stats);
     if (status.ok()) {
-      Serving serving = OpenServing(stats, dir + "/serving", nullptr);
+      Serving serving = OpenServing(stats, dir + "/serving",
+                                    workload.cache_share, 1, nullptr);
       setup_s = (serving.build_ms + serving.open_ms) / 1e3;
       error = serving.error;
-      ok = serving.service != nullptr;
+      ok = !serving.services.empty();
       // The peak RSS includes a cache filled by one pass over the blocks.
       stats.SortCanonical();
-      ok = ok && TouchBlocks(*serving.service, stats, 64);
+      ok = ok && TouchBlocks(*serving.services[0], stats, 64);
       digest = StatsDigest(&stats);
     } else {
       error = status.ToString();
@@ -535,6 +556,20 @@ std::map<std::string, double> MedianSelfMs(const std::vector<Span>& spans) {
   return medians;
 }
 
+// One serving slice as JSON: per query type, [p50 us, p99 us, samples].
+std::string SliceTails(const MixResult& slice) {
+  const char* names[kQueryTypes] = {"count", "topk", "ppl"};
+  JsonObject tails;
+  for (int type = 0; type < kQueryTypes; ++type) {
+    std::vector<double> sorted = slice.latency_us[type];
+    std::sort(sorted.begin(), sorted.end());
+    tails.Raw(names[type], NumberList({SortedQuantile(sorted, 0.5),
+                                       SortedQuantile(sorted, 0.99),
+                                       static_cast<double>(sorted.size())}));
+  }
+  return tails.str();
+}
+
 // ------------------------------------------------------------ benchmark --
 
 struct Checks {
@@ -613,21 +648,6 @@ int RunBenchmark(const Args& args, const Workload& workload) {
               static_cast<unsigned long long>(corpus.docs.size()),
               static_cast<unsigned long long>(reference.size()), inputs_s);
 
-  // Set-up, each in a fresh process (untraced runs only).
-  std::vector<ChildResult> children;
-  std::vector<double> setup_s, rss_mb;
-  for (int i = 0; !args.trace && i < kSetupProcesses; ++i) {
-    sync();
-    children.push_back(SpawnChild(args, dir, i));
-    const ChildResult& child = children.back();
-    checks.Record(child.ok && child.digest == reference_digest,
-                  "set-up process " + std::to_string(i) + ": " +
-                      (child.ok ? "output differs from the reference"
-                                : child.error));
-    setup_s.push_back(child.setup_s);
-    rss_mb.push_back(child.rss_mb);
-  }
-
   // Serving set-up over the reference table, which every checked batch run
   // must reproduce: shards, service, query streams, and a warm-up (one
   // pass over the blocks, then a short unrecorded mix) so that the cache
@@ -635,45 +655,96 @@ int RunBenchmark(const Args& args, const Workload& workload) {
   sync();
   Tracer setup_tracer;
   Serving serving = OpenServing(reference, dir + "/serving",
+                                workload.cache_share, kClientThreads,
                                 args.trace ? &setup_tracer : nullptr);
-  checks.Record(serving.service != nullptr, "open serving: " + serving.error);
-  if (serving.service == nullptr) {
+  checks.Record(!serving.services.empty(), "open serving: " + serving.error);
+  if (serving.services.empty()) {
     return FailEarly(checks, dir);
   }
+  std::vector<const ngram::serve::StatsService*> services;
+  for (const auto& service : serving.services) {
+    services.push_back(service.get());
+  }
+  // Block cache counters summed over the services.
+  const auto cache_stats = [&] {
+    ngram::kv::BlockCacheStats sum;
+    for (const auto* service : services) {
+      const ngram::kv::BlockCacheStats one = service->CacheStats();
+      sum.hits += one.hits;
+      sum.misses += one.misses;
+      sum.evictions += one.evictions;
+    }
+    return sum;
+  };
   const double batch_budget_s = args.seconds * workload.batch_share;
   const double serve_budget_s = args.seconds - batch_budget_s;
   const QueryPools pools = MakeQueryPools(
       reference, corpus, args.seed, kClientThreads,
       static_cast<size_t>(std::ceil(serve_budget_s * kQueriesPerThreadPerSecond)));
   std::vector<size_t> cursors;
-  checks.Record(TouchBlocks(*serving.service, reference, 64), "cache warm-up");
-  checks.RecordMix(RunMix(*serving.service, pools, &cursors,
+  for (const auto* service : services) {
+    checks.Record(TouchBlocks(*service, reference, 64), "cache warm-up");
+  }
+  checks.RecordMix(RunMix(services, pools, &cursors,
                           kWarmupShare * serve_budget_s, 0, false),
                    "warm-up mix");
 
-  // Measured rounds: batch runs for a third of the batch share, then a
-  // serving slice of a third of the serving share, three times, so both
-  // stages sample the whole run rather than one end of it. Traced batch
-  // runs alternate with untraced ones.
+  // One unrecorded batch run, so that the measured runs are warm ones.
+  {
+    BatchRun run = RunBatchOnce(workload, corpus_path, dir + "/stats.ngs",
+                                dir + "/work", nullptr, 0);
+    checks.Record(run.ok && run.digest == reference_digest,
+                  "warm-up batch run: " +
+                      (run.ok ? std::string("output differs from the reference")
+                              : run.error));
+  }
+
+  // Measured rounds. Each round runs set-up processes (untraced runs
+  // only), a serving slice, warm batch runs for a third of the batch
+  // share, and a second serving slice. Spreading every stage over the
+  // whole run lets each sample the same mix of fast and slow host phases
+  // rather than one end of the run. Traced batch runs alternate with
+  // untraced ones.
+  std::vector<ChildResult> children;
+  std::vector<double> setup_s, rss_mb;
   Tracer batch_tracer;
   std::vector<double> wall_untraced, wall_traced;
   std::vector<BatchLayers> layers;
   uint64_t shuffle_bytes = 0, shuffle_records = 0;
   MixResult mix;
+  std::vector<std::string> slice_tails;  // For the record.
   ngram::kv::BlockCacheStats cache_delta;
   const auto run_slice = [&](size_t min_samples) {
-    const ngram::kv::BlockCacheStats before = serving.service->CacheStats();
-    MixResult slice = RunMix(*serving.service, pools, &cursors,
-                             serve_budget_s / kRounds, min_samples, args.trace);
-    const ngram::kv::BlockCacheStats after = serving.service->CacheStats();
+    const ngram::kv::BlockCacheStats before = cache_stats();
+    MixResult slice =
+        RunMix(services, pools, &cursors,
+               serve_budget_s / (2 * kRounds), min_samples, args.trace);
+    const ngram::kv::BlockCacheStats after = cache_stats();
     cache_delta.hits += after.hits - before.hits;
     cache_delta.misses += after.misses - before.misses;
     cache_delta.evictions += after.evictions - before.evictions;
     checks.RecordMix(slice, "mix");
+    slice_tails.push_back(SliceTails(slice));
     mix.Merge(std::move(slice));
   };
   int run_index = 0;
   for (int round = 0; round < kRounds; ++round) {
+    const int setups = workload.stage == Stage::kServe ? kServeSetupsPerRound
+                                                        : kBatchSetupsPerRound;
+    for (int i = 0; !args.trace && i < setups; ++i) {
+      const int index = static_cast<int>(children.size());
+      sync();
+      children.push_back(SpawnChild(args, dir, index));
+      const ChildResult& child = children.back();
+      checks.Record(child.ok && child.digest == reference_digest,
+                    "set-up process " + std::to_string(index) + ": " +
+                        (child.ok ? "output differs from the reference"
+                                  : child.error));
+      setup_s.push_back(child.setup_s);
+      rss_mb.push_back(child.rss_mb);
+    }
+    sync();
+    run_slice(0);
     const int64_t round_begin = NowNs();
     for (int in_round = 0;; ++in_round, ++run_index) {
       const bool traced = args.trace && run_index % 2 == 1;
@@ -735,8 +806,8 @@ int RunBenchmark(const Args& args, const Workload& workload) {
   std::vector<double> store_count_us, head_ms;
   double scanned_per_result = 0;
   if (args.trace) {
-    const auto store = serving.service->store();
-    store_count_us = RunStoreCounts(*store, pools, serve_budget_s / 4);
+    const auto store = services[0]->store();
+    store_count_us = RunStoreCounts(services, pools, serve_budget_s / 4);
     scanned_per_result = TopKScannedPerResult(*store, pools, cursors);
     // The empty-prefix top-k scans every unigram; it is timed apart from
     // the mix and checked against the reference's ten most frequent.
@@ -754,7 +825,7 @@ int RunBenchmark(const Args& args, const Workload& workload) {
     expected.resize(std::min(expected.size(), kTopKResults));
     for (int i = 0; i < kHeadTopKRepeats; ++i) {
       const int64_t begin = NowNs();
-      auto head = serving.service->TopKCompletions({}, kTopKResults);
+      auto head = services[0]->TopKCompletions({}, kTopKResults);
       head_ms.push_back(static_cast<double>(NowNs() - begin) / 1e6);
       checks.Record(head.ok() && *head == expected, "empty-prefix top-k");
     }
@@ -921,7 +992,7 @@ int RunBenchmark(const Args& args, const Workload& workload) {
       .Num("shards", kShards)
       .Num("shard_bytes", static_cast<double>(serving.shard_bytes))
       .Num("decoded_block_bytes", static_cast<double>(serving.decoded_bytes))
-      .Num("cache_share_of_decoded", kCacheShare)
+      .Num("cache_share_of_decoded", workload.cache_share)
       .Num("reference_ngrams", static_cast<double>(reference.size()))
       .Num("reference_unigrams",
            static_cast<double>(std::count_if(
@@ -945,6 +1016,9 @@ int RunBenchmark(const Args& args, const Workload& workload) {
       .Num("mix_seconds", mix.elapsed_s)
       .Num("queries", static_cast<double>(mix.attempted))
       .Raw("latency", latency.str())
+      .Raw("slices", JsonList(slice_tails))
+      .Num("cache_hits", static_cast<double>(cache_delta.hits))
+      .Num("cache_misses", static_cast<double>(cache_delta.misses))
       .Num("error_rate", error_rate)
       .Num("inputs_s", inputs_s);
   JsonObject fingerprint;
@@ -970,7 +1044,7 @@ int RunBenchmark(const Args& args, const Workload& workload) {
       ".json";
   std::ofstream(record_path) << record.str() << "\n";
 
-  serving.service.reset();
+  serving.services.clear();
   fs::remove_all(dir, ec);
   std::printf("RECORD %s\n", record.str().c_str());
   std::printf("%s\n", result.str().c_str());

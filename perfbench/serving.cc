@@ -54,7 +54,6 @@ class Compactor {
 
 struct alignas(64) Progress {
   std::atomic<uint64_t> per_type[kQueryTypes] = {};
-  std::atomic<bool> done{false};
 };
 
 }  // namespace
@@ -243,9 +242,10 @@ void MixResult::Merge(MixResult slice) {
   AppendSpans(slice.spans, &spans);
 }
 
-MixResult RunMix(const ngram::serve::StatsService& service,
-                 const QueryPools& pools, std::vector<size_t>* cursors,
-                 double seconds, size_t min_samples, bool traced) {
+MixResult RunMix(
+    const std::vector<const ngram::serve::StatsService*>& services,
+    const QueryPools& pools, std::vector<size_t>* cursors, double seconds,
+    size_t min_samples, bool traced) {
   const size_t threads = pools.streams.size();
   cursors->resize(threads, 0);
   std::vector<Progress> progress(threads);
@@ -257,28 +257,29 @@ MixResult RunMix(const ngram::serve::StatsService& service,
   std::atomic<bool> stop{false};
   std::vector<std::thread> clients;
   for (size_t t = 0; t < threads; ++t) {
-    const size_t left = pools.streams[t].size() - (*cursors)[t];
-    answers[t].resize(left);
-    errors[t].resize(left);
+    const size_t expected = pools.streams[t].size();
+    answers[t].reserve(expected);
+    errors[t].reserve(expected);
     for (int type = 0; type < kQueryTypes; ++type) {
-      latencies[t * kQueryTypes + type].reserve(left /
+      latencies[t * kQueryTypes + type].reserve(expected /
                                                 (type == kCount ? 1 : 4));
     }
     if (traced) {
-      tracers[t].Reserve(left);
+      tracers[t].Reserve(expected);
     }
   }
   for (size_t t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
       const std::vector<Query>& stream = pools.streams[t];
+      const ngram::serve::StatsService& service = *services[t];
       const size_t first = (*cursors)[t];
       Tracer* tracer = traced ? &tracers[t] : nullptr;
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      size_t i = first;
-      for (; i < stream.size() && !stop.load(std::memory_order_relaxed); ++i) {
-        const Query q = stream[i];
+      for (size_t i = first;
+           !stream.empty() && !stop.load(std::memory_order_relaxed); ++i) {
+        const Query q = stream[i % stream.size()];
         const uint64_t run_id = (static_cast<uint64_t>(t) << 32) | i;
         bool ok = true;
         uint64_t answer = 0;
@@ -311,12 +312,10 @@ MixResult RunMix(const ngram::serve::StatsService& service,
         const int64_t end = NowNs();
         latencies[t * kQueryTypes + q.type].push_back(
             static_cast<double>(end - begin) / 1e3);
-        answers[t][i - first] = answer;
-        errors[t][i - first] = ok ? 0 : 1;
+        answers[t].push_back(answer);
+        errors[t].push_back(ok ? 0 : 1);
         progress[t].per_type[q.type].fetch_add(1, std::memory_order_relaxed);
       }
-      answers[t].resize(i - first);
-      progress[t].done.store(true, std::memory_order_release);
     });
   }
 
@@ -325,7 +324,6 @@ MixResult RunMix(const ngram::serve::StatsService& service,
   for (;;) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     const double elapsed = static_cast<double>(NowNs() - begin) / 1e9;
-    bool all_done = true;
     bool enough = true;
     for (int type = 0; type < kQueryTypes; ++type) {
       uint64_t samples = 0;
@@ -334,10 +332,7 @@ MixResult RunMix(const ngram::serve::StatsService& service,
       }
       enough = enough && samples >= min_samples;
     }
-    for (const Progress& p : progress) {
-      all_done = all_done && p.done.load(std::memory_order_acquire);
-    }
-    if (all_done || (elapsed >= seconds && enough) || elapsed >= 3 * seconds) {
+    if ((elapsed >= seconds && enough) || elapsed >= 3 * seconds) {
       break;
     }
   }
@@ -352,7 +347,7 @@ MixResult RunMix(const ngram::serve::StatsService& service,
     const std::vector<Query>& stream = pools.streams[t];
     const size_t first = (*cursors)[t];
     for (size_t j = 0; j < answers[t].size(); ++j) {
-      const Query q = stream[first + j];
+      const Query q = stream[(first + j) % stream.size()];
       bool right = errors[t][j] == 0;
       if (right && q.type == kCount) {
         right = answers[t][j] == pools.count_expected[q.index];
@@ -380,8 +375,9 @@ MixResult RunMix(const ngram::serve::StatsService& service,
   return result;
 }
 
-std::vector<double> RunStoreCounts(const ngram::serve::ShardedStatsStore& store,
-                                   const QueryPools& pools, double seconds) {
+std::vector<double> RunStoreCounts(
+    const std::vector<const ngram::serve::StatsService*>& services,
+    const QueryPools& pools, double seconds) {
   std::vector<std::string> keys;
   keys.reserve(pools.count_keys.size());
   for (const TermSequence& seq : pools.count_keys) {
@@ -394,6 +390,7 @@ std::vector<double> RunStoreCounts(const ngram::serve::ShardedStatsStore& store,
   for (size_t t = 0; t < threads; ++t) {
     latencies[t].reserve(pools.streams[t].size());
     clients.emplace_back([&, t] {
+      const auto store = services[t]->store();
       for (const Query& q : pools.streams[t]) {
         if (stop.load(std::memory_order_relaxed)) {
           break;
@@ -404,7 +401,7 @@ std::vector<double> RunStoreCounts(const ngram::serve::ShardedStatsStore& store,
         uint64_t count = 0;
         const int64_t begin = NowNs();
         const ngram::Status status =
-            store.Count(ngram::Slice(keys[q.index]), &count);
+            store->Count(ngram::Slice(keys[q.index]), &count);
         latencies[t].push_back(static_cast<double>(NowNs() - begin) / 1e3);
         (void)status.ok();
       }
@@ -431,8 +428,9 @@ double TopKScannedPerResult(const ngram::serve::ShardedStatsStore& store,
   uint64_t visited = 0;
   uint64_t returned = 0;
   for (size_t t = 0; t < pools.streams.size(); ++t) {
-    for (size_t i = 0; i < cursors[t]; ++i) {
-      const Query q = pools.streams[t][i];
+    const std::vector<Query>& stream = pools.streams[t];
+    for (size_t i = 0; i < cursors[t] && !stream.empty(); ++i) {
+      const Query q = stream[i % stream.size()];
       if (q.type != kTopK) {
         continue;
       }

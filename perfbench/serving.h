@@ -64,21 +64,25 @@ struct MixResult {
   void Merge(MixResult slice);
 };
 
-/// Runs one client thread per stream, each from its position in
-/// `cursors` (advanced past the queries run), until `seconds` have passed
-/// and each query type has `min_samples` samples (or a stream ends, or
-/// 3 x `seconds` pass), then checks every answer.
-MixResult RunMix(const ngram::serve::StatsService& service,
-                 const QueryPools& pools, std::vector<size_t>* cursors,
-                 double seconds, size_t min_samples, bool traced);
+/// Runs one client thread per stream, client t against `services[t]`, each
+/// from its position in `cursors` (the number of queries it has run; a
+/// stream starts over when it ends), until `seconds` have passed and each
+/// query type has `min_samples` samples (or 3 x `seconds` pass), then
+/// checks every answer.
+MixResult RunMix(
+    const std::vector<const ngram::serve::StatsService*>& services,
+    const QueryPools& pools, std::vector<size_t>* cursors, double seconds,
+    size_t min_samples, bool traced);
 
 /// ShardedStatsStore::Count latencies (us) for the Count queries of the
-/// streams, replayed by the same number of threads for `seconds`.
-std::vector<double> RunStoreCounts(const ngram::serve::ShardedStatsStore& store,
-                                   const QueryPools& pools, double seconds);
+/// streams, replayed for `seconds` by one thread per stream, thread t on
+/// the store of `services[t]`.
+std::vector<double> RunStoreCounts(
+    const std::vector<const ngram::serve::StatsService*>& services,
+    const QueryPools& pools, double seconds);
 
 /// Records the top-k range scans visit, divided by the completions they
-/// return, over the top-k queries before each stream's cursor.
+/// return, over the top-k queries each stream has run (its cursor).
 double TopKScannedPerResult(const ngram::serve::ShardedStatsStore& store,
                             const QueryPools& pools,
                             const std::vector<size_t>& cursors);

@@ -18,22 +18,23 @@ namespace {
 
 // Every workload also serves the table it computes; on serve-zipf that is
 // the stage the workload is for, so it gets most of the measured time.
+// The batch workloads serve from block caches that hold every block
+// (the hit path); serve-zipf's caches hold 0.7 of them, so that about nine
+// in ten block lookups hit: the median Count is served from the cache and
+// its 99th percentile fetches and decodes a block.
+constexpr double kAllBlocks = 1.25;
 constexpr Workload kWorkloads[] = {
     // NAIVE with a 256 KiB sort buffer: sort, spill and merge carry the
     // job.
     {"naive-spill", Stage::kBatch, false, 6000, ngram::Method::kNaive, 10, 5,
-     256 << 10, 256ULL << 20, 0.6},
-    // SUFFIX-sigma with unbounded sigma and no spills: the stack reducer
-    // and the in-memory sort path.
-    {"suffix-unbounded", Stage::kBatch, false, 20000,
-     ngram::Method::kSuffixSigma, 10, 0, 64ULL << 20, 256ULL << 20, 0.6},
+     256 << 10, 256ULL << 20, 0.5, kAllBlocks},
     // APRIORI-INDEX: five chained jobs, index joins, and posting buffers
     // pushed into the KV store by a 1 KiB reducer budget.
     {"apriori-index-chain", Stage::kBatch, true, 8000,
-     ngram::Method::kAprioriIndex, 20, 5, 64ULL << 20, 1024, 0.6},
+     ngram::Method::kAprioriIndex, 20, 5, 64ULL << 20, 1024, 0.5, kAllBlocks},
     // Serving: Zipf queries over 450k SUFFIX-sigma n-grams at tau = 2.
     {"serve-zipf", Stage::kServe, false, 6000, ngram::Method::kSuffixSigma,
-     2, 5, 64ULL << 20, 256ULL << 20, 0.25},
+     2, 5, 64ULL << 20, 256ULL << 20, 0.25, 0.7},
 };
 
 double CpuSeconds(const rusage& usage) {

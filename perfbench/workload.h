@@ -33,9 +33,12 @@ struct Workload {
   /// Share of the measured seconds spent on warm batch runs; the rest
   /// drives the serving stage.
   double batch_share;
+  /// Block cache capacity of the serving stage, as a share of the decoded
+  /// blocks of the table served.
+  double cache_share;
 };
 
-/// The four workloads, or nullptr for an unknown name.
+/// The workload named `name`, or nullptr for an unknown name.
 const Workload* FindWorkload(const std::string& name);
 /// Comma-separated list of the workload names (for usage messages).
 std::string WorkloadNames();
