@@ -1,6 +1,7 @@
 #include "core/apriori_index.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 
 #include "core/counting.h"
@@ -330,6 +331,11 @@ Result<AprioriIndexResult> RunAprioriIndexWithIndex(
           return std::make_unique<IndexJoinReducer>(options, spill_dir, k);
         },
         &output);
+    // The job's reducers (and their KV stores) are gone by now; drop the
+    // spill directory so a caller-supplied work_dir comes back clean on
+    // success and on failure alike.
+    std::error_code ec;
+    std::filesystem::remove_all(spill_dir, ec);  // Best effort.
     if (!metrics.ok()) {
       return metrics.status();
     }

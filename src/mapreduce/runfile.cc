@@ -140,93 +140,146 @@ class BlockRunWriter final : public RunWriter {
 
 namespace {
 
-// Shared body of DecodeBlockPayload / the indexed variant. When
-// `restart_offsets` is non-null it receives, per restart-array slot, the
-// offset within `*framed` of that restart entry's frame — translating the
-// writer's payload-offset index into the decoded representation.
-Status DecodeBlockPayloadImpl(Slice payload, uint64_t block_offset,
-                              const std::string& path, std::string* framed,
-                              std::vector<uint32_t>* restart_offsets) {
+/// One front-coded entry, viewed in place.
+struct CodedEntry {
+  uint64_t shared = 0;  // Bytes taken from the previous key.
+  Slice suffix;         // The key's remaining (non-shared) bytes.
+  Slice value;
+};
+
+/// Parses the entry at the front of `*in` and advances past it: the tag
+/// byte (shared / non_shared nibbles, 15 = varint follows), the value
+/// length, then the key suffix and the value. False when the header is
+/// malformed or the entry runs past the end of `*in`. The format's one
+/// entry parser — the frame decoder, ReadBlockAt's structure check and
+/// BlockCursor all read entries through it.
+inline bool ParseEntry(Slice* in, CodedEntry* entry) {
+  if (in->empty()) {
+    return false;
+  }
+  const uint8_t tag = static_cast<uint8_t>((*in)[0]);
+  in->RemovePrefix(1);
+  uint64_t shared = tag >> 4;
+  uint64_t non_shared = tag & 0x0f;
+  uint64_t vlen = 0;
+  if ((shared == 15 && !GetVarint64(in, &shared)) ||
+      (non_shared == 15 && !GetVarint64(in, &non_shared)) ||
+      !GetVarint64(in, &vlen)) {
+    return false;
+  }
+  // Checked term by term: summing corrupt near-2^64 lengths would wrap
+  // past the bound.
+  if (non_shared > in->size() || vlen > in->size() - non_shared) {
+    return false;
+  }
+  entry->shared = shared;
+  entry->suffix = Slice(in->data(), static_cast<size_t>(non_shared));
+  entry->value = Slice(in->data() + non_shared, static_cast<size_t>(vlen));
+  in->RemovePrefix(static_cast<size_t>(non_shared + vlen));
+  return true;
+}
+
+/// Splits a payload into its entry region and its restart array. False
+/// when the trailing restart count is zero or overruns the payload.
+bool SplitPayload(Slice payload, Slice* entries, const char** restarts,
+                  uint32_t* num_restarts) {
+  if (payload.size() < 4) {
+    return false;
+  }
+  const uint32_t n = DecodeFixed32(payload.data() + payload.size() - 4);
+  // Widen before the +1: n == 0xffffffff must not wrap to a zero-byte
+  // restart array and slip past the bound below.
+  const uint64_t restart_bytes = 4ull * (static_cast<uint64_t>(n) + 1);
+  if (n == 0 || restart_bytes > payload.size()) {
+    return false;
+  }
+  *entries = Slice(payload.data(),
+                   payload.size() - static_cast<size_t>(restart_bytes));
+  *restarts = payload.data() + entries->size();
+  *num_restarts = n;
+  return true;
+}
+
+/// Walks every entry of `payload`, checking the block structure, and
+/// hands each entry to `on_entry` in order. The checks are what every
+/// reader relies on: entries stay inside the entry region, `shared` never
+/// exceeds the previous key's length, the restart slots are the starts of
+/// `shared == 0` entries in ascending order, and the block holds at least
+/// one entry.
+template <typename OnEntry>
+Status WalkPayload(Slice payload, uint64_t block_offset,
+                   const std::string& path, OnEntry&& on_entry) {
   auto corrupt = [&](const std::string& what) {
     return Status::Corruption(what + " in block at offset " +
                               std::to_string(block_offset) + " of " + path);
   };
-  framed->clear();
-  if (restart_offsets != nullptr) {
-    restart_offsets->clear();
-  }
-  if (payload.size() < 4) {
+  Slice in;
+  const char* restarts = nullptr;
+  uint32_t num_restarts = 0;
+  if (!SplitPayload(payload, &in, &restarts, &num_restarts)) {
     return corrupt("malformed restart array");
   }
-  const uint32_t num_restarts =
-      DecodeFixed32(payload.data() + payload.size() - 4);
-  // Widen before the +1: num_restarts == 0xffffffff must not wrap to a
-  // zero-byte restart array and slip past the bound below.
-  const uint64_t restart_bytes =
-      4ull * (static_cast<uint64_t>(num_restarts) + 1);
-  if (num_restarts == 0 || restart_bytes > payload.size()) {
-    return corrupt("malformed restart array");
-  }
-  const size_t entries_end = payload.size() - static_cast<size_t>(restart_bytes);
-  const char* const restart_array = payload.data() + entries_end;
-  uint32_t next_restart = 0;  // Restart-array slots consumed so far.
-
-  std::string last_key;
-  Slice in(payload.data(), entries_end);
+  uint32_t next_restart = 0;  // Restart-array slots matched so far.
+  uint64_t prev_key_len = 0;
+  bool any_entry = false;
+  CodedEntry entry;
   while (!in.empty()) {
-    if (restart_offsets != nullptr && next_restart < num_restarts &&
-        DecodeFixed32(restart_array + 4 * next_restart) ==
-            static_cast<uint32_t>(in.data() - payload.data())) {
-      restart_offsets->push_back(static_cast<uint32_t>(framed->size()));
+    const bool at_restart =
+        next_restart < num_restarts &&
+        DecodeFixed32(restarts + 4ull * next_restart) ==
+            static_cast<uint32_t>(in.data() - payload.data());
+    if (!ParseEntry(&in, &entry)) {
+      return corrupt("malformed entry");
+    }
+    if (entry.shared > prev_key_len) {
+      return corrupt("entry shares more bytes than the previous key has");
+    }
+    if (at_restart) {
+      if (entry.shared != 0) {
+        return corrupt("restart entry does not store its whole key");
+      }
       ++next_restart;
     }
-    // Entry header: tag byte (shared/non_shared nibbles, 15 = varint
-    // follows) plus the value length varint.
-    const uint8_t tag = static_cast<uint8_t>(in[0]);
-    in.RemovePrefix(1);
-    uint64_t shared = tag >> 4;
-    uint64_t non_shared = tag & 0x0f;
-    uint64_t vlen = 0;
-    if ((shared == 15 && !GetVarint64(&in, &shared)) ||
-        (non_shared == 15 && !GetVarint64(&in, &non_shared)) ||
-        !GetVarint64(&in, &vlen)) {
-      return corrupt("malformed entry header");
-    }
-    // Checked term by term: summing corrupt near-2^64 lengths would wrap
-    // past the bound and reach the append() below as a giant count.
-    if (shared > last_key.size() || non_shared > in.size() ||
-        vlen > in.size() - non_shared) {
-      return corrupt("entry references out-of-range bytes");
-    }
-    last_key.resize(static_cast<size_t>(shared));
-    last_key.append(in.data(), static_cast<size_t>(non_shared));
-    in.RemovePrefix(static_cast<size_t>(non_shared));
-    PutVarint64(framed, last_key.size());
-    PutVarint64(framed, vlen);
-    framed->append(last_key);
-    framed->append(in.data(), static_cast<size_t>(vlen));
-    in.RemovePrefix(static_cast<size_t>(vlen));
+    prev_key_len = entry.shared + entry.suffix.size();
+    on_entry(entry);
+    any_entry = true;
   }
-  if (framed->empty()) {
+  if (!any_entry) {
     // The writer never emits an entry-less block; accepting one (a
     // CRC-valid restart-array-only payload) would break readers that use
     // "decoded something" as their progress guarantee.
     return corrupt("block with no entries");
   }
-  if (restart_offsets != nullptr && next_restart != num_restarts) {
-    // CRC-valid payloads always index real entry starts (the writer emits
-    // the array from actual offsets), so a dangling slot is a writer bug
-    // — fail loudly rather than hand lookups a short anchor list.
+  if (next_restart != num_restarts) {
+    // The writer emits the array from actual entry offsets, so a slot
+    // that matches no entry start is corruption; seeking through it
+    // would land mid-entry.
     return corrupt("restart array does not point at entry starts");
   }
   return Status::OK();
 }
 
-// Shared body of DecodeBlockAt / the indexed variant.
-Status DecodeBlockAtImpl(Slice file, uint64_t offset, const std::string& path,
-                         std::string* framed,
-                         std::vector<uint32_t>* restart_offsets,
-                         uint64_t* next_offset) {
+}  // namespace
+
+Status DecodeBlockPayload(Slice payload, uint64_t block_offset,
+                          const std::string& path, std::string* framed) {
+  framed->clear();
+  std::string last_key;
+  return WalkPayload(payload, block_offset, path,
+                     [&](const CodedEntry& entry) {
+                       last_key.resize(static_cast<size_t>(entry.shared));
+                       last_key.append(entry.suffix.data(),
+                                       entry.suffix.size());
+                       PutVarint64(framed, last_key.size());
+                       PutVarint64(framed, entry.value.size());
+                       framed->append(last_key);
+                       framed->append(entry.value.data(),
+                                      entry.value.size());
+                     });
+}
+
+Status ReadBlockAt(Slice file, uint64_t offset, const std::string& path,
+                   Slice* payload, uint64_t* next_offset) {
   auto corrupt = [&](const std::string& what) {
     return Status::Corruption(what + " in block at offset " +
                               std::to_string(offset) + " of " + path);
@@ -246,38 +299,117 @@ Status DecodeBlockAtImpl(Slice file, uint64_t offset, const std::string& path,
   if (payload_len < 10 || in.size() < 4 || payload_len > in.size() - 4) {
     return corrupt("implausible block length " + std::to_string(payload_len));
   }
-  const Slice payload(in.data(), static_cast<size_t>(payload_len));
+  const Slice verified(in.data(), static_cast<size_t>(payload_len));
   const uint32_t expected = DecodeFixed32(in.data() + payload_len);
-  if (Crc32(0, payload.data(), payload.size()) != expected) {
+  if (Crc32(0, verified.data(), verified.size()) != expected) {
     return corrupt("block CRC mismatch");
   }
-  Status st =
-      DecodeBlockPayloadImpl(payload, offset, path, framed, restart_offsets);
-  if (!st.ok()) {
-    return st;
-  }
+  NGRAM_RETURN_NOT_OK(
+      WalkPayload(verified, offset, path, [](const CodedEntry&) {}));
+  *payload = verified;
   *next_offset = offset + header_bytes + payload_len + 4;
   return Status::OK();
 }
 
-}  // namespace
-
-Status DecodeBlockPayload(Slice payload, uint64_t block_offset,
-                          const std::string& path, std::string* framed) {
-  return DecodeBlockPayloadImpl(payload, block_offset, path, framed, nullptr);
+BlockCursor::BlockCursor(Slice payload) {
+  ok_ = SplitPayload(payload, &entries_, &restarts_, &num_restarts_);
+  rest_ = entries_;
 }
 
-Status DecodeBlockAt(Slice file, uint64_t offset, const std::string& path,
-                     std::string* framed, uint64_t* next_offset) {
-  return DecodeBlockAtImpl(file, offset, path, framed, nullptr, next_offset);
+size_t BlockCursor::AnchorFor(Slice target) {
+  // Binary-search the restart slots for the first whose key exceeds
+  // `target`. Restart entries have shared == 0, so the suffix a restart
+  // entry stores is its whole key.
+  uint32_t lo = 0;
+  uint32_t hi = num_restarts_;
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    const uint32_t offset = DecodeFixed32(restarts_ + 4ull * mid);
+    CodedEntry entry;
+    Slice in;
+    if (offset < entries_.size()) {
+      in = Slice(entries_.data() + offset, entries_.size() - offset);
+    }
+    if (!ParseEntry(&in, &entry)) {
+      ok_ = false;
+      return entries_.size();
+    }
+    if (entry.suffix.compare(target) <= 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  // The first entry of a block always stores its whole key, so it
+  // anchors targets that precede every restart key.
+  return lo == 0 ? 0 : DecodeFixed32(restarts_ + 4ull * (lo - 1));
 }
 
-Status DecodeBlockAtIndexed(Slice file, uint64_t offset,
-                            const std::string& path, std::string* framed,
-                            std::vector<uint32_t>* restart_offsets,
-                            uint64_t* next_offset) {
-  return DecodeBlockAtImpl(file, offset, path, framed, restart_offsets,
-                           next_offset);
+bool BlockCursor::Find(Slice key, Slice* value) {
+  const size_t start = AnchorFor(key);
+  Slice in(entries_.data() + start, entries_.size() - start);
+  // The entries from the anchor ascend. `matched` is the common prefix of
+  // the previous entry's key (which sorts before `key`) and `key`.
+  size_t matched = 0;
+  CodedEntry entry;
+  while (!in.empty()) {
+    if (!ParseEntry(&in, &entry)) {
+      ok_ = false;
+      return false;
+    }
+    if (entry.shared > matched) {
+      // The entry agrees with the previous key past the byte where that
+      // key fell below `key`, so it sorts before `key` too; `matched`
+      // stays.
+      continue;
+    }
+    // The entry's first `shared` bytes equal key[0, shared); compare the
+    // rest. Exact even when a writer's `shared` is not maximal.
+    const size_t shared = static_cast<size_t>(entry.shared);
+    const size_t tail = key.size() - shared;
+    const size_t n = std::min(entry.suffix.size(), tail);
+    const char* a = entry.suffix.data();
+    const char* b = key.data() + shared;
+    size_t i = 0;
+    while (i < n && a[i] == b[i]) {
+      ++i;
+    }
+    if (i == n) {
+      if (entry.suffix.size() == tail) {
+        *value = entry.value;
+        return true;
+      }
+      if (entry.suffix.size() > tail) {
+        return false;  // `key` is a proper prefix of the entry: past it.
+      }
+    } else if (static_cast<uint8_t>(a[i]) > static_cast<uint8_t>(b[i])) {
+      return false;  // Sorted: every later entry is past `key` too.
+    }
+    matched = shared + i;
+  }
+  return false;
+}
+
+void BlockCursor::Seek(Slice target) {
+  const size_t start = AnchorFor(target);
+  rest_ = Slice(entries_.data() + start, entries_.size() - start);
+  key_.clear();
+}
+
+bool BlockCursor::Next() {
+  if (rest_.empty()) {
+    return false;
+  }
+  CodedEntry entry;
+  if (!ParseEntry(&rest_, &entry) || entry.shared > key_.size()) {
+    ok_ = false;
+    rest_ = Slice();
+    return false;
+  }
+  key_.resize(static_cast<size_t>(entry.shared));
+  key_.append(entry.suffix.data(), entry.suffix.size());
+  value_ = entry.value;
+  return true;
 }
 
 std::unique_ptr<RunWriter> NewRunWriter(std::string path,

@@ -28,7 +28,7 @@
 //
 // Every `restart_interval`-th entry is a restart point (shared == 0, the
 // key stored whole), bounding how far a decoder must chain deltas and
-// keeping the format seekable-in-principle (LevelDB's block layout). The
+// keeping the format seekable (LevelDB's block layout). The
 // trailing CRC-32 covers the payload and is verified whenever a block is
 // read back — integrity checking rides along with decoding instead of
 // costing the separate whole-file pass raw runs need (`checksum_spills`).
@@ -42,7 +42,9 @@
 // Readers: FileRecordReader (record.h) decodes this format with
 // `RunFormat::kBlocks`, re-framing each block into one of two alternating
 // scratch buffers so the one-record lookback contract holds across block
-// boundaries.
+// boundaries. The serving layer does not decode: it checks a block with
+// ReadBlockAt and reads it in place with BlockCursor, seeking through the
+// restart array.
 #pragma once
 
 #include <cstdint>
@@ -134,33 +136,71 @@ std::unique_ptr<RunWriter> NewRunWriter(std::string path,
 /// Decodes one block payload (front-coded entries + restart array; CRC
 /// already verified by the caller) into back-to-back raw
 /// `[klen][vlen][key][value]` frames appended to `*framed` (cleared
-/// first). `block_offset` and `path` only shape the Corruption messages.
-/// Shared by FileRecordReader's streaming block loader and the serving
-/// layer's mmap-backed random-access block reads, so both paths decode —
-/// and reject corruption in — the format identically.
+/// first) — the batch read path (FileRecordReader's streaming block
+/// loader). The payload's whole structure is checked on the way: entry
+/// bounds, `shared` no longer than the previous key, restart slots at the
+/// starts of `shared == 0` entries in order, and at least one entry.
+/// `block_offset` and `path` only shape the Corruption messages. The
+/// entry parser and the checks are shared with ReadBlockAt, so the batch
+/// and serving paths reject corruption in the format identically.
 Status DecodeBlockPayload(Slice payload, uint64_t block_offset,
                           const std::string& path, std::string* framed);
 
-/// Parses, CRC-verifies, and decodes the whole block starting at byte
-/// `offset` of the in-memory file image `file` (an mmap-backed serving
-/// segment). On success `*framed` holds the block's records as raw frames
-/// (iterate with MemoryRecordReader) and `*next_offset` is the file
+/// Parses and CRC-verifies the block starting at byte `offset` of the
+/// in-memory file image `file` (an mmap-backed serving segment), and
+/// checks its payload's structure exactly as DecodeBlockPayload does —
+/// without decoding it. On success `*payload` views the verified payload
+/// inside `file` (ready for BlockCursor) and `*next_offset` is the file
 /// offset one past the block's trailer. A flipped bit anywhere in the
 /// block yields Corruption naming `path` and the block offset.
-Status DecodeBlockAt(Slice file, uint64_t offset, const std::string& path,
-                     std::string* framed, uint64_t* next_offset);
+Status ReadBlockAt(Slice file, uint64_t offset, const std::string& path,
+                   Slice* payload, uint64_t* next_offset);
 
-/// As DecodeBlockAt, and additionally translates the block's restart array
-/// into `*restart_offsets`: entry i is the byte offset within `*framed` of
-/// the i-th restart entry's frame (a full-key entry — every
-/// `restart_interval`-th record). Always non-empty on success (the first
-/// entry of a block is a restart). Point lookups binary-search these
-/// anchors and decode-scan at most one restart interval instead of walking
-/// the whole block (serve/sharded_store.cc).
-Status DecodeBlockAtIndexed(Slice file, uint64_t offset,
-                            const std::string& path, std::string* framed,
-                            std::vector<uint32_t>* restart_offsets,
-                            uint64_t* next_offset);
+/// \brief Reads one block payload in place: seeks through the block's
+/// own restart array and walks its front-coded entries without decoding
+/// the block into frames.
+///
+/// Only meaningful over a payload ReadBlockAt accepted. Restart entries
+/// store their key whole, so the anchor search compares keys where they
+/// lie; past the anchor at most one restart interval is read. The cursor
+/// parses entries with the same bounds-checked parser as the decoder: a
+/// payload that fails it (never one ReadBlockAt accepted) ends the walk
+/// and clears ok(). Views returned by key()/value() stay valid until the
+/// next call on the cursor (values: while the payload lives).
+class BlockCursor {
+ public:
+  explicit BlockCursor(Slice payload);
+
+  /// Looks up `key`; true with `*value` set when the block stores it.
+  /// Rebuilds no keys: it tracks how much of the probe the previous key
+  /// matches and compares each entry's suffix against the probe's tail.
+  bool Find(Slice key, Slice* value);
+
+  /// Positions the cursor so that Next() walks from the last restart
+  /// whose key is <= `target` (the block's first entry when none is).
+  void Seek(Slice target);
+
+  /// Advances to the next entry, rebuilding its full key; false at the
+  /// end of the block.
+  bool Next();
+
+  Slice key() const { return Slice(key_); }
+  Slice value() const { return value_; }
+  /// False when an entry failed to parse (the payload was not verified).
+  bool ok() const { return ok_; }
+
+ private:
+  /// Payload offset of the entry to start a search for `target` from.
+  size_t AnchorFor(Slice target);
+
+  Slice entries_;                  // Entry region of the payload.
+  const char* restarts_ = nullptr;  // num_restarts_ fixed32 offsets.
+  uint32_t num_restarts_ = 0;
+  Slice rest_;                      // Entries Next() has not visited.
+  std::string key_;                 // Current entry's key (Next() only).
+  Slice value_;
+  bool ok_ = true;
+};
 
 /// RecordSink adapter over any RunWriter — the glue every writer-backed
 /// emit path (spills, merge passes) uses to stream records.

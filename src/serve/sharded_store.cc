@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "encoding/varint.h"
-#include "mapreduce/record.h"
 #include "mapreduce/runfile.h"
 
 namespace ngram::serve {
@@ -18,63 +17,11 @@ Status DecodeCount(Slice value, const std::string& path, uint64_t* count) {
   return Status::OK();
 }
 
-/// View over a cached block string: the decoded raw frames, plus the
-/// restart index GetBlock appended — [fixed32 frame offset per restart
-/// anchor][fixed32 num_restarts] — so every cache hit carries the block's
-/// seek structure without a second allocation or a cache value-type
-/// change.
-struct BlockView {
-  Slice frames;
-  const char* restarts = nullptr;  // num_restarts fixed32 frame offsets.
-  uint32_t num_restarts = 0;
-};
-
-Status ParseBlockView(const std::string& cached, const std::string& path,
-                      BlockView* view) {
-  if (cached.size() >= 4) {
-    const uint32_t n = DecodeFixed32(cached.data() + cached.size() - 4);
-    const uint64_t trailer_bytes = 4ull * (static_cast<uint64_t>(n) + 1);
-    if (n != 0 && trailer_bytes <= cached.size()) {
-      view->frames = Slice(cached.data(),
-                           cached.size() - static_cast<size_t>(trailer_bytes));
-      view->restarts = cached.data() + view->frames.size();
-      view->num_restarts = n;
-      return Status::OK();
-    }
-  }
-  // GetBlock always appends a well-formed trailer, so this is a process
-  // bug (e.g. a foreign value under our cache file id), not disk state.
-  return Status::Corruption("malformed cached block index for " + path);
-}
-
-/// Key of the frame starting at byte `offset` of `frames`. The frames are
-/// decoder output (already bounds-checked), so the parse cannot fail.
-Slice KeyAt(Slice frames, uint32_t offset) {
-  Slice in(frames.data() + offset, frames.size() - offset);
-  uint64_t klen = 0;
-  uint64_t vlen = 0;
-  GetVarint64(&in, &klen);
-  GetVarint64(&in, &vlen);
-  return Slice(in.data(), static_cast<size_t>(klen));
-}
-
-/// Frame offset of the largest restart anchor whose key is <= `key`
-/// (anchor 0 when every anchor key exceeds it, which only happens for
-/// keys before the block). A scan from here crosses at most one restart
-/// interval before the sorted order proves the key absent.
-uint32_t SeekAnchor(const BlockView& view, Slice key) {
-  uint32_t lo = 0;
-  uint32_t hi = view.num_restarts;  // First anchor with key > `key`.
-  while (lo < hi) {
-    const uint32_t mid = lo + (hi - lo) / 2;
-    const uint32_t off = DecodeFixed32(view.restarts + 4ull * mid);
-    if (KeyAt(view.frames, off).compare(key) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo == 0 ? 0 : DecodeFixed32(view.restarts + 4ull * (lo - 1));
+/// Corruption for a payload the cursor could not parse. GetBlock hands
+/// out verified payloads only, so this is a process bug (e.g. a foreign
+/// value under our cache file id), not disk state.
+Status UnparsableBlock(const std::string& path) {
+  return Status::Corruption("unparsable verified block of " + path);
 }
 
 }  // namespace
@@ -147,36 +94,35 @@ int ShardedStatsStore::BlockOf(const ShardEntry& entry, Slice key) {
   return static_cast<int>(it - entry.blocks.begin()) - 1;
 }
 
-Status ShardedStatsStore::GetBlock(
-    const Shard& shard, size_t block_index,
-    std::shared_ptr<const std::string>* framed) const {
+Status ShardedStatsStore::GetBlock(const Shard& shard, size_t block_index,
+                                   std::shared_ptr<const std::string>* holder,
+                                   Slice* payload) const {
   const kv::BlockKey cache_key{shard.cache_file_id,
                                static_cast<uint64_t>(block_index)};
   if (auto cached = cache_->Lookup(cache_key)) {
-    *framed = std::move(cached);
+    *payload = Slice(*cached);
+    *holder = std::move(cached);
     return Status::OK();
   }
   const BlockEntry& block = shard.entry->blocks[block_index];
-  const Slice file = shard.mapping->data();
-  auto decoded = std::make_shared<std::string>();
-  std::vector<uint32_t> restart_offsets;
+  Slice verified;
   uint64_t next_offset = 0;
-  NGRAM_RETURN_NOT_OK(
-      mr::DecodeBlockAtIndexed(file, block.offset, shard.path, decoded.get(),
-                               &restart_offsets, &next_offset));
+  NGRAM_RETURN_NOT_OK(mr::ReadBlockAt(shard.mapping->data(), block.offset,
+                                      shard.path, &verified, &next_offset));
   if (next_offset != block.offset + block.length) {
     return Status::Corruption(
         "block at offset " + std::to_string(block.offset) + " of " +
         shard.path + " does not match its manifest extent");
   }
-  // Append the restart index as a trailer (see BlockView) so the seek
-  // structure is cached alongside the frames it indexes.
-  for (const uint32_t off : restart_offsets) {
-    PutFixed32(decoded.get(), off);
+  if (cache_->capacity_bytes() == 0) {
+    *payload = verified;  // The mapping outlives every query.
+    return Status::OK();
   }
-  PutFixed32(decoded.get(), static_cast<uint32_t>(restart_offsets.size()));
-  *framed = decoded;
-  cache_->Insert(cache_key, std::move(decoded));
+  auto copy =
+      std::make_shared<const std::string>(verified.data(), verified.size());
+  *payload = Slice(*copy);
+  *holder = copy;
+  cache_->Insert(cache_key, std::move(copy));
   return Status::OK();
 }
 
@@ -195,25 +141,16 @@ Status ShardedStatsStore::Count(Slice key, uint64_t* count) const {
   if (b < 0) {
     return Status::OK();
   }
-  std::shared_ptr<const std::string> framed;
-  NGRAM_RETURN_NOT_OK(GetBlock(shard, static_cast<size_t>(b), &framed));
-  BlockView view;
-  NGRAM_RETURN_NOT_OK(ParseBlockView(*framed, shard.path, &view));
-  // Binary-search the restart anchors, then decode-scan at most one
-  // restart interval instead of walking the block from its first record.
-  const uint32_t start = SeekAnchor(view, key);
-  mr::MemoryRecordReader reader{
-      Slice(view.frames.data() + start, view.frames.size() - start)};
-  while (reader.Next()) {
-    const int cmp = reader.key().compare(key);
-    if (cmp == 0) {
-      return DecodeCount(reader.value(), shard.path, count);
-    }
-    if (cmp > 0) {
-      break;  // Records are sorted; the key is absent.
-    }
+  std::shared_ptr<const std::string> holder;
+  Slice payload;
+  NGRAM_RETURN_NOT_OK(
+      GetBlock(shard, static_cast<size_t>(b), &holder, &payload));
+  mr::BlockCursor cursor(payload);
+  Slice value;
+  if (cursor.Find(key, &value)) {
+    return DecodeCount(value, shard.path, count);
   }
-  return reader.status();
+  return cursor.ok() ? Status::OK() : UnparsableBlock(shard.path);
 }
 
 Status ShardedStatsStore::ScanRange(
@@ -240,32 +177,31 @@ Status ShardedStatsStore::ScanRange(
       if (!before_upper(entry.blocks[b].first_key)) {
         return Status::OK();
       }
-      std::shared_ptr<const std::string> framed;
-      NGRAM_RETURN_NOT_OK(GetBlock(shard, b, &framed));
-      BlockView view;
-      NGRAM_RETURN_NOT_OK(ParseBlockView(*framed, shard.path, &view));
-      Slice scan = view.frames;
+      std::shared_ptr<const std::string> holder;
+      Slice payload;
+      NGRAM_RETURN_NOT_OK(GetBlock(shard, b, &holder, &payload));
+      mr::BlockCursor cursor(payload);
       if (b == static_cast<size_t>(first_block)) {
-        // Anchor-seek `lower` in the first block of each shard we enter;
-        // records between the anchor and `lower` are skipped below.
-        const uint32_t start = SeekAnchor(view, lower);
-        scan = Slice(view.frames.data() + start, view.frames.size() - start);
+        // Restart-seek `lower` in the first block of each shard we enter;
+        // entries between the anchor and `lower` are skipped below.
+        cursor.Seek(lower);
       }
-      mr::MemoryRecordReader reader{scan};
-      while (reader.Next()) {
-        if (reader.key().compare(lower) < 0) {
+      while (cursor.Next()) {
+        if (cursor.key().compare(lower) < 0) {
           continue;
         }
-        if (!before_upper(reader.key())) {
+        if (!before_upper(cursor.key())) {
           return Status::OK();
         }
         uint64_t count = 0;
-        NGRAM_RETURN_NOT_OK(DecodeCount(reader.value(), shard.path, &count));
-        if (!fn(reader.key(), count)) {
+        NGRAM_RETURN_NOT_OK(DecodeCount(cursor.value(), shard.path, &count));
+        if (!fn(cursor.key(), count)) {
           return Status::OK();
         }
       }
-      NGRAM_RETURN_NOT_OK(reader.status());
+      if (!cursor.ok()) {
+        return UnparsableBlock(shard.path);
+      }
     }
   }
   return Status::OK();

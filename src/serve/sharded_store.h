@@ -6,19 +6,23 @@
 // point lookups and range scans touch only const state, so any number of
 // threads query one store with no locking. The single synchronization
 // point on the read path is the (optional) BlockCache's LRU mutex; with
-// caching disabled even that disappears and every query decodes its block
-// straight from the mapping.
+// caching disabled even that disappears and every query reads its block
+// in place from the mapping.
 //
 // Read path of Count(key):
 //   route:  binary-search the shard table by min_key        (no I/O)
 //   block:  binary-search the shard's block index           (no I/O)
-//   fetch:  BlockCache hit, or decode the ~16 KiB block from the mmap —
-//           CRC-verified, so a flipped bit anywhere in the segment
-//           surfaces as Corruption naming the file, never a wrong count —
-//           with the block's restart index cached alongside the frames
-//   seek:   binary-search the restart anchors (the block format's full-key
-//           entries), then scan at most one restart interval of records
-//           (bytewise-sorted, early exit)
+//   fetch:  BlockCache hit, or — on a miss — check the ~16 KiB block
+//           against its manifest extent, its CRC and its payload
+//           structure in the mmap, then cache a heap copy of the still
+//           compressed payload; a flipped bit anywhere in the segment
+//           surfaces as Corruption naming the file, never a wrong count
+//   seek:   binary-search the block's own restart array (restart entries
+//           store whole keys), then walk at most one restart interval of
+//           front-coded entries in place (mr::BlockCursor), comparing
+//           each entry's key suffix against the probe without rebuilding
+//           keys
+
 #pragma once
 
 #include <cstdint>
@@ -43,8 +47,9 @@ struct ServingOptions {
   /// null. Sharing one cache across stores (and with KV stores) is safe —
   /// cache file ids are process-unique.
   std::shared_ptr<kv::BlockCache> cache;
-  /// Capacity of the private cache when `cache` is null; 0 disables
-  /// caching (every query decodes its block from the mapping).
+  /// Capacity of the private cache when `cache` is null, charged in
+  /// compressed payload bytes; 0 disables caching (every query checks and
+  /// reads its block in place in the mapping).
   size_t cache_bytes = 64 * 1024 * 1024;
   /// I/O environment for manifest reads and segment mappings.
   mr::IoEnv* env = nullptr;
@@ -99,11 +104,14 @@ class ShardedStatsStore {
 
   ShardedStatsStore() = default;
 
-  /// Fetches (through the cache) or decodes block `block_index` of shard
-  /// `shard` as raw frames with the block's restart index appended as a
-  /// fixed32 trailer (parsed back with ParseBlockView in the .cc).
+  /// Sets `*payload` to the verified payload of block `block_index` of
+  /// `shard`: a cached copy, or on a miss the block checked in the
+  /// mapping (extent, CRC, structure) and — when the cache has capacity —
+  /// copied and cached. `*holder` keeps a copy alive while `*payload` is
+  /// read; it stays null for in-mapping reads.
   Status GetBlock(const Shard& shard, size_t block_index,
-                  std::shared_ptr<const std::string>* framed) const;
+                  std::shared_ptr<const std::string>* holder,
+                  Slice* payload) const;
 
   /// Index of the last block of `entry` whose first_key <= key, or -1
   /// when key precedes the first block.

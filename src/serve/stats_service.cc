@@ -136,23 +136,35 @@ Result<uint64_t> StatsService::Count(const TermSequence& ngram) const {
 
 Result<std::vector<Completion>> StatsService::TopKCompletions(
     const TermSequence& prefix, size_t k) const {
+  std::vector<Completion> top;
+  if (k == 0) {
+    return top;
+  }
+  // `ranks_before(a, b)`: a sorts ahead of b in the result order.
+  const auto ranks_before = [](const Completion& a, const Completion& b) {
+    if (a.count != b.count) {
+      return a.count > b.count;
+    }
+    return a.term < b.term;
+  };
+  // Bounded selection: `top` is a heap of at most k completions whose
+  // front is the lowest-ranked one kept, so each continuation costs
+  // O(log k) instead of a full sort of every continuation.
   const std::shared_ptr<const Snapshot> snap = snapshot();
-  std::vector<Completion> completions;
   NGRAM_RETURN_NOT_OK(ScanContinuations(
       *snap->store, prefix, [&](TermId term, uint64_t count) {
-        completions.push_back(Completion{term, count});
+        const Completion c{term, count};
+        if (top.size() < k) {
+          top.push_back(c);
+          std::push_heap(top.begin(), top.end(), ranks_before);
+        } else if (ranks_before(c, top.front())) {
+          std::pop_heap(top.begin(), top.end(), ranks_before);
+          top.back() = c;
+          std::push_heap(top.begin(), top.end(), ranks_before);
+        }
       }));
-  std::sort(completions.begin(), completions.end(),
-            [](const Completion& a, const Completion& b) {
-              if (a.count != b.count) {
-                return a.count > b.count;
-              }
-              return a.term < b.term;
-            });
-  if (completions.size() > k) {
-    completions.resize(k);
-  }
-  return completions;
+  std::sort_heap(top.begin(), top.end(), ranks_before);
+  return top;
 }
 
 Result<double> StatsService::Perplexity(const Corpus& text) const {

@@ -2,6 +2,8 @@
 // method-specific cost properties the paper derives analytically.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/apriori_index.h"
 #include "core/apriori_scan.h"
 #include "core/naive.h"
@@ -9,6 +11,7 @@
 #include "core/suffix_sigma.h"
 #include "corpus/running_example.h"
 #include "testing/test_util.h"
+#include "util/temp_dir.h"
 
 namespace ngram {
 namespace {
@@ -197,6 +200,27 @@ TEST(AprioriIndexMethodTest, TinyReducerBudgetSpillsAndStaysCorrect) {
   auto in_memory = RunAprioriIndex(ctx, options);
   ASSERT_TRUE(in_memory.ok());
   EXPECT_TRUE(spilled->stats.SameAs(in_memory->stats));
+}
+
+TEST(AprioriIndexMethodTest, SpillingRunLeavesWorkDirEmpty) {
+  const Corpus corpus = testing::RandomCorpus(11, 40, 5, 3, 10);
+  const CorpusContext ctx = BuildCorpusContext(corpus);
+  auto work_dir = TempDir::Create("apriori-index-workdir");
+  ASSERT_TRUE(work_dir.ok());
+  NgramJobOptions options = TestOptions(Method::kAprioriIndex, 2, 5);
+  options.apriori_index_k = 2;
+  options.reducer_memory_budget_bytes = 128;  // Force KV-store spill.
+  options.work_dir = work_dir->path().string();
+  auto run = RunAprioriIndex(ctx, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_FALSE(run->stats.empty());
+  std::vector<std::string> leftovers;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(work_dir->path())) {
+    leftovers.push_back(entry.path().string());
+  }
+  EXPECT_TRUE(leftovers.empty())
+      << leftovers.size() << " leftover(s), first: " << leftovers.front();
 }
 
 TEST(MethodsTest, EmptyCorpusYieldsEmptyStats) {
