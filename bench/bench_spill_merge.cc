@@ -25,22 +25,17 @@ namespace {
 
 void RegisterSpillSweep(const Dataset& dataset) {
   const Method methods[] = {Method::kNaive, Method::kSuffixSigma};
-  // (merge_factor, shuffle_slots): the unbounded baseline, the bounded
-  // merge, and the bounded merge with the early shuffle overlapping its
-  // reduce-side passes with map execution (ov=1). The overlap row's
-  // barrier_ms is the post-barrier merge latency left over — the eager
-  // passes (early_passes) are what shrank it vs the ov=0 row.
-  const std::pair<uint32_t, uint32_t> configs[] = {{0, 0}, {16, 0}, {16, 2}};
+  // The unbounded baseline and the bounded merge. barrier_ms is the
+  // reduce-side merge-prep time (intermediate passes before the final
+  // merge).
   for (Method method : methods) {
-    for (const auto& [merge_factor, shuffle_slots] : configs) {
+    for (uint32_t merge_factor : {0u, 16u}) {
       const std::string name =
           std::string("SpillMerge/") + dataset.name + "/" +
-          MethodName(method) + "/mf=" + std::to_string(merge_factor) +
-          "/ov=" + std::to_string(shuffle_slots > 0 ? 1 : 0);
+          MethodName(method) + "/mf=" + std::to_string(merge_factor);
       ::benchmark::RegisterBenchmark(
           name.c_str(),
-          [&dataset, method, merge_factor = merge_factor,
-           shuffle_slots = shuffle_slots](::benchmark::State& state) {
+          [&dataset, method, merge_factor](::benchmark::State& state) {
             NgramJobOptions options =
                 BenchOptions(method, dataset.default_tau, 5);
             // ~128 KiB of sort buffer against multi-MiB map output:
@@ -48,7 +43,6 @@ void RegisterSpillSweep(const Dataset& dataset) {
             // hundred runs at this setting).
             options.sort_buffer_bytes = 128 << 10;
             options.merge_factor = merge_factor;
-            options.shuffle_slots = shuffle_slots;
             const CorpusContext& ctx = dataset.context();
             for (auto _ : state) {
               auto run = ComputeNgramStatistics(ctx, options);
@@ -66,8 +60,6 @@ void RegisterSpillSweep(const Dataset& dataset) {
                   static_cast<double>(run->metrics.TotalCounter(
                       mr::kIntermediateMergeBytes)) /
                   (1024.0 * 1024.0);
-              state.counters["early_passes"] = static_cast<double>(
-                  run->metrics.TotalCounter(mr::kEarlyMergePasses));
               state.counters["barrier_ms"] = static_cast<double>(
                   run->metrics.TotalCounter(mr::kBarrierWaitMs));
               state.counters["reduce_ms"] =

@@ -14,13 +14,13 @@
 //   reload                   re-open the directory, atomically swap
 //   quit                     exit
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "serve/stats_service.h"
+#include "util/logging.h"
 
 namespace {
 
@@ -55,12 +55,13 @@ int main(int argc, char** argv) {
   lm::LanguageModelOptions lm_options;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool parsed = false;
     if (arg.rfind("--cache-kb=", 0) == 0) {
-      options.cache_bytes =
-          static_cast<size_t>(atoll(arg.c_str() + 11)) * 1024;
+      parsed = ParseDecimal(arg.substr(11), &options.cache_bytes, size_t{1024});
     } else if (arg.rfind("--order=", 0) == 0) {
-      lm_options.order = static_cast<uint32_t>(atoi(arg.c_str() + 8));
-    } else {
+      parsed = ParseDecimal(arg.substr(8), &lm_options.order);
+    }
+    if (!parsed) {
       return Usage();
     }
   }

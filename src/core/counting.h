@@ -104,7 +104,6 @@ inline mr::JobConfig MakeBaseJobConfig(const NgramJobOptions& options,
   config.num_map_tasks = options.num_map_tasks;
   config.sort_buffer_bytes = options.sort_buffer_bytes;
   config.merge_factor = options.merge_factor;
-  config.shuffle_slots = options.shuffle_slots;
   config.compress_runs = options.compress_runs;
   config.checksum_spills = options.checksum_spills;
   config.job_overhead_ms = options.job_overhead_ms;

@@ -97,12 +97,6 @@ struct NgramJobOptions {
   /// instead of opening every run at once. 0 = unbounded.
   uint32_t merge_factor = 16;
 
-  /// Background eager-merge workers that overlap reduce-side intermediate
-  /// merge passes with map execution (the early shuffle,
-  /// mapreduce/shuffle_service.h). 0 = off. Output is byte-identical on
-  /// or off; ignored when merge_factor == 0.
-  uint32_t shuffle_slots = 0;
-
   /// Persist shuffle runs (spills, merge outputs) in the prefix-compressed
   /// block format with per-block CRC-32s verified as runs are read back
   /// (see mapreduce/runfile.h). Sorted runs share long key prefixes, so

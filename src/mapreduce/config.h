@@ -87,23 +87,6 @@ struct JobConfig {
   /// not 0 are treated as 2 (a 1-way "merge" would never converge).
   uint32_t merge_factor = 16;
 
-  /// Early-shuffle worker threads (0 disables, the default). While map
-  /// tasks are still running, up to `shuffle_slots` background workers
-  /// eagerly run reduce-side intermediate merge passes over the runs of
-  /// already-committed map tasks — consecutive in map-task-id order, at
-  /// most `merge_factor` file-backed sources per pass — so that when the
-  /// map barrier falls each reduce task finds most of its multi-pass
-  /// merging already done and its final pass opens pre-merged
-  /// intermediates instead of O(maps x spills) runs. Eager merging is
-  /// best-effort: a failed eager pass just falls back to the committed
-  /// runs, and a producer re-execution invalidates every eager
-  /// intermediate built over the retired generation. Output stays
-  /// byte-identical with the knob on or off (see docs/architecture.md
-  /// section 4c for the determinism argument); merge-accounting counters
-  /// become scheduling-dependent. Ignored when merge_factor == 0 —
-  /// unbounded fan-in has no intermediate passes to pull forward.
-  uint32_t shuffle_slots = 0;
-
   /// Total order for the shuffle sort (Hadoop: setSortComparatorClass).
   const RawComparator* sort_comparator = BytewiseComparator::Instance();
 

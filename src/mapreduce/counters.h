@@ -59,19 +59,9 @@ inline constexpr const char* kTaskRetries = "TASK_RETRIES";
 inline constexpr const char* kMapReexecutions = "MAP_REEXECUTIONS";
 /// Corrupt persisted runs successfully replaced by a regenerated copy.
 inline constexpr const char* kCorruptRunsRecovered = "CORRUPT_RUNS_RECOVERED";
-/// Eager reduce-side merge passes the early shuffle service ran while map
-/// tasks were still executing, and the bytes they wrote. Also counted in
-/// the kMergePasses / kIntermediateMergeBytes totals (they are ordinary
-/// intermediate passes, just pulled ahead of the map barrier). How many
-/// passes run eagerly depends on map-task commit timing, so these — like
-/// every merge-accounting counter once JobConfig::shuffle_slots > 0 — are
-/// scheduling-dependent; the *data* counters stay deterministic.
-inline constexpr const char* kEarlyMergePasses = "EARLY_MERGE_PASSES";
-inline constexpr const char* kEarlyMergeBytes = "EARLY_MERGE_BYTES";
 /// Milliseconds reduce tasks spent preparing their merge sources after
-/// the map barrier fell (intermediate passes still owed post-barrier,
-/// summed over successful reduce attempts) — the latency the early
-/// shuffle service exists to shrink.
+/// the map barrier fell (the reduce-side intermediate passes, summed over
+/// successful reduce attempts): the reduce-side merge layer's wall time.
 inline constexpr const char* kBarrierWaitMs = "BARRIER_WAIT_MS";
 /// Fetch shuffle (JobConfig::fetch_shuffle): payload bytes pulled over
 /// the transport — every shuffled byte crosses the wire in fetch mode,

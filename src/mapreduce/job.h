@@ -59,13 +59,13 @@
 #include "mapreduce/dataset.h"
 #include "mapreduce/merge.h"
 #include "mapreduce/metrics.h"
-#include "mapreduce/shuffle_service.h"
 #include "mapreduce/sort_buffer.h"
 #include "net/inproc_transport.h"
 #include "net/map_output_server.h"
 #include "net/shuffle_fetcher.h"
 #include "net/socket_transport.h"
 #include "util/logging.h"
+#include "util/mutex.h"
 #include "util/result.h"
 #include "util/stopwatch.h"
 #include "util/temp_dir.h"
@@ -262,6 +262,41 @@ inline RawCombineFn SumCombiner() {
   };
 }
 
+/// \brief Committed map output, with the bookkeeping corruption recovery
+/// needs.
+///
+/// Each task's run vector is a shared_ptr *generation*. A reduce attempt
+/// snapshots the shared_ptrs it plans over, so re-executing a map task —
+/// which installs a fresh generation — never frees run objects a stale
+/// reader is still using; replaced generations are retired: their objects
+/// stay alive and their files on disk until job end, when the driver's
+/// cleanup guard removes everything.
+struct MapOutputRegistry {
+  Mutex mu;
+  /// Signaled whenever a generation settles (regeneration finished,
+  /// successful or not): reduce attempts wait for a settled registry
+  /// before planning, and recoveries wait out a racing regeneration.
+  CondVar cv{&mu};
+  std::vector<std::shared_ptr<std::vector<SpillRun>>> runs
+      NGRAM_GUARDED_BY(mu);
+  /// Bumped per re-execution.
+  std::vector<uint32_t> generation NGRAM_GUARDED_BY(mu);
+  /// Completed executions of the task.
+  std::vector<uint32_t> executions NGRAM_GUARDED_BY(mu);
+  /// A recovery is in flight.
+  std::vector<uint8_t> regenerating NGRAM_GUARDED_BY(mu);
+  std::vector<std::shared_ptr<std::vector<SpillRun>>> retired
+      NGRAM_GUARDED_BY(mu);
+
+  void Resize(uint32_t num_tasks) NGRAM_EXCLUDES(mu) {
+    MutexLock lock(&mu);
+    runs.resize(num_tasks);
+    generation.assign(num_tasks, 0);
+    executions.assign(num_tasks, 0);
+    regenerating.assign(num_tasks, 0);
+  }
+};
+
 namespace internal {
 
 inline uint32_t DeriveNumMapTasks(const JobConfig& config,
@@ -339,17 +374,15 @@ Result<JobMetrics> RunJob(
       input.SplitByBytes(num_map_tasks);
   IoEnv* const io_env = ResolveEnv(config.io_env);
 
-  // Committed map output — generation-tracked so corruption recovery and
-  // the early shuffle service can both plan over stable snapshots (see
-  // MapOutputRegistry in shuffle_service.h).
+  // Committed map output — generation-tracked so corruption recovery can
+  // re-plan over stable snapshots (see MapOutputRegistry above).
   MapOutputRegistry map_outputs;
   map_outputs.Resize(num_map_tasks);
 
   // Each checksummed run file is CRC-verified once, by whichever reduce
-  // task or eager merge worker opens it first (a no-op registry unless
-  // checksum_spills). Keyed by path, so a regenerated run — fresh
-  // attempt-scoped name — gets a fresh verification instead of
-  // inheriting the corrupt file's verdict.
+  // task opens it first (a no-op registry unless checksum_spills). Keyed
+  // by path, so a regenerated run — fresh attempt-scoped name — gets a
+  // fresh verification instead of inheriting the corrupt file's verdict.
   RunCrcVerifier crc_verifier;
 
   // Shuffle runs are job-private: whatever run files are still on disk
@@ -440,40 +473,14 @@ Result<JobMetrics> RunJob(
   }
 
   // The registry the entire reduce side — settle-wait, planning
-  // snapshots, eager merging, corruption recovery — works against:
-  // fetched clones in fetch mode, the origin registry otherwise. Clone
-  // files are byte-identical to their origins with identical segment
-  // extents at identical (task, run) positions, so merge planning, the
-  // source-order tie-break, and eager-window substitution behave exactly
-  // as they do fetch-off: job output is byte-identical on or off.
+  // snapshots, corruption recovery — works against: fetched clones in
+  // fetch mode, the origin registry otherwise. Clone files are
+  // byte-identical to their origins with identical segment extents at
+  // identical (task, run) positions, so merge planning and the
+  // source-order tie-break behave exactly as they do fetch-off: job
+  // output is byte-identical on or off.
   MapOutputRegistry& plan_outputs =
       fetch_shuffle ? fetched_outputs : map_outputs;
-
-  // Early shuffle (JobConfig::shuffle_slots): background workers eagerly
-  // merge committed map tasks' runs while other map tasks still execute,
-  // so reduce tasks find most of their intermediate passes already done
-  // when the barrier falls. Declared after the cleanup guard: the service
-  // destructor (which joins the workers and unlinks every eager output)
-  // must run before the guard unlinks run files a worker may be reading.
-  std::unique_ptr<EarlyShuffleService> shuffle;
-  if (config.shuffle_slots > 0 && config.merge_factor != 0) {
-    EarlyShuffleService::Options shuffle_options;
-    shuffle_options.shuffle_slots = config.shuffle_slots;
-    shuffle_options.num_map_tasks = num_map_tasks;
-    shuffle_options.num_partitions = num_reducers;
-    shuffle_options.merge_factor = config.merge_factor;
-    shuffle_options.comparator = config.sort_comparator;
-    shuffle_options.work_dir = work_dir;
-    shuffle_options.spill_buffer_bytes = config.spill_buffer_bytes;
-    shuffle_options.compress = config.compress_runs;
-    shuffle_options.checksum = config.checksum_spills;
-    shuffle_options.verifier = &crc_verifier;
-    shuffle_options.env = io_env;
-    // In fetch mode the eager mergers read the fetched clones, like
-    // every other reduce-side consumer.
-    shuffle = std::make_unique<EarlyShuffleService>(shuffle_options,
-                                                    &plan_outputs, &counters);
-  }
 
   const uint32_t max_attempts = std::max(1u, config.max_task_attempts);
   auto retry_backoff = [&config](uint32_t failed_attempts) {
@@ -632,20 +639,10 @@ Result<JobMetrics> RunJob(
           fetched_outputs.runs[t] = std::move(fetched);
           fetched_outputs.executions[t] = 1;
         }
-        const bool committed = st.ok();
         map_status[t] = std::move(st);
-        if (committed && shuffle != nullptr) {
-          shuffle->NotifyMapTaskCommitted(t);
-        }
       });
     }
     pool.Wait();
-  }
-  if (shuffle != nullptr) {
-    // The barrier: no new eager merges; in-flight ones drain and the
-    // workers join, so the eager output set is settled before any reduce
-    // attempt (or early error return) looks at it.
-    shuffle->Finish();
   }
   for (uint32_t t = 0; t < num_map_tasks; ++t) {
     if (!map_status[t].ok()) {
@@ -735,13 +732,6 @@ Result<JobMetrics> RunJob(
     }
     plan_outputs.mu.Unlock();
     plan_outputs.cv.SignalAll();
-    if (replaced && shuffle != nullptr) {
-      // The retired generation may back eager intermediates; invalidate
-      // them so no later attempt substitutes stale-generation data. (The
-      // files stay on disk until the service is destroyed — a stale
-      // attempt may still be reading them, same rule as retired runs.)
-      shuffle->InvalidateTask(t);
-    }
     return replaced;
   };
 
@@ -804,28 +794,11 @@ Result<JobMetrics> RunJob(
             snapshot = plan_outputs.runs;
             generations = plan_outputs.generation;
           }
-          // Assemble the attempt's sources in map-task-id order,
-          // substituting each still-valid eager intermediate for the
-          // consecutive task range it covers (substitution at the
-          // window's position preserves the source-order tie-break —
-          // see shuffle_service.h). The shared_ptrs in `eager` keep the
-          // outputs alive for the attempt even if they are invalidated
-          // mid-attempt.
-          std::vector<std::shared_ptr<const EarlyMergeOutput>> eager;
-          if (shuffle != nullptr) {
-            eager = shuffle->OutputsFor(r, generations);
-          }
+          // The attempt's sources: every (task, run) of the snapshot in
+          // map-task-id order — the source-order tie-break.
           std::vector<const SpillRun*> attempt_runs;
-          size_t next_eager = 0;
-          for (uint32_t t = 0; t < num_map_tasks; ++t) {
-            if (next_eager < eager.size() &&
-                eager[next_eager]->first_task == t) {
-              attempt_runs.push_back(&eager[next_eager]->run);
-              t = eager[next_eager]->last_task;
-              ++next_eager;
-              continue;
-            }
-            for (const SpillRun& run : *snapshot[t]) {
+          for (const auto& task_runs : snapshot) {
+            for (const SpillRun& run : *task_runs) {
               attempt_runs.push_back(&run);
             }
           }
@@ -852,9 +825,8 @@ Result<JobMetrics> RunJob(
           Stopwatch barrier_clock;
           st = PrepareReduceMerge(merge_options, attempt_runs, r,
                                   &merge_inputs);
-          // Post-barrier source-prep latency: the intermediate passes
-          // this task still owed after the map barrier — what
-          // shuffle_slots exists to shrink. Failed attempts discard it
+          // Reduce-side merge-prep time: the intermediate passes this
+          // task runs before its final merge. Failed attempts discard it
           // with the rest of their counters.
           tc.Increment(kBarrierWaitMs,
                        static_cast<uint64_t>(barrier_clock.ElapsedMillis()));
@@ -917,19 +889,6 @@ Result<JobMetrics> RunJob(
           // most max_attempts recoveries per reduce task), so corrupt
           // regenerations cannot loop forever.
           if (st.IsCorruption() && recoveries < max_attempts) {
-            // Corruption inside an eager intermediate itself (it went bad
-            // on disk after its merge): drop the output and re-plan from
-            // the committed runs — re-reading the doomed file could never
-            // succeed. Bounded without an attempt budget: invalidation
-            // only shrinks the (post-Finish) output set.
-            if (shuffle != nullptr &&
-                shuffle->InvalidateOutputNamedIn(st.message())) {
-              NGRAM_LOG_WARN << config.name << " reduce task " << r
-                             << ": dropped corrupt eager intermediate ("
-                             << st.ToString()
-                             << "); re-planning from the committed runs";
-              continue;
-            }
             const int victim = find_producer(st.message(), snapshot);
             if (victim >= 0 &&
                 recover_producer(static_cast<uint32_t>(victim),

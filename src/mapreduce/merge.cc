@@ -92,17 +92,12 @@ void ChargeMergePass(const ExternalMergeOptions& options,
   options.counters->Increment(kMergePasses, 1);
   options.counters->Increment(kIntermediateMergeBytes,
                               writer.bytes_written());
-  if (options.early) {
-    options.counters->Increment(kEarlyMergePasses, 1);
-    options.counters->Increment(kEarlyMergeBytes, writer.bytes_written());
-  } else {
-    options.counters->Increment(
-        options.map_side ? kMapMergePasses : kReduceMergePasses, 1);
-    options.counters->Increment(
-        options.map_side ? kMapIntermediateMergeBytes
-                         : kReduceIntermediateMergeBytes,
-        writer.bytes_written());
-  }
+  options.counters->Increment(
+      options.map_side ? kMapMergePasses : kReduceMergePasses, 1);
+  options.counters->Increment(
+      options.map_side ? kMapIntermediateMergeBytes
+                       : kReduceIntermediateMergeBytes,
+      writer.bytes_written());
   options.counters->Increment(kRunBytesRaw, writer.raw_bytes());
   options.counters->Increment(kRunBytesWritten, writer.bytes_written());
 }
@@ -575,54 +570,6 @@ Status PrepareReduceMerge(const ExternalMergeOptions& options,
       result->sources.push_back(std::move(reader));
     }
   }
-  return Status::OK();
-}
-
-Status MergePartitionToRun(const ExternalMergeOptions& options,
-                           const std::vector<const SpillRun*>& runs,
-                           uint32_t partition, uint32_t num_partitions,
-                           const std::string& out_path, SpillRun* out) {
-  std::vector<std::unique_ptr<RecordReader>> sources;
-  sources.reserve(runs.size());
-  for (const SpillRun* run : runs) {
-    if (run->segments[partition].num_records == 0) {
-      continue;
-    }
-    if (options.verifier != nullptr) {
-      NGRAM_RETURN_NOT_OK(options.verifier->Verify(*run, options.env));
-    }
-    auto reader = OpenRunPartition(*run, partition, options.env);
-    if (reader != nullptr) {
-      sources.push_back(std::move(reader));
-    }
-  }
-  std::unique_ptr<RunWriter> writer =
-      NewRunWriter(out_path, MergeWriterOptions(options));
-  NGRAM_RETURN_NOT_OK(writer->Open());
-  KWayMerger merger(std::move(sources), options.comparator);
-  RunWriterSink sink(writer.get());
-  Status st = DrainMerger(&merger, /*combiner=*/nullptr, options.comparator,
-                          &sink, options.counters);
-  if (!st.ok()) {
-    writer->Abandon();  // Unlinks the partial eager output.
-    return st;
-  }
-  NGRAM_RETURN_NOT_OK(writer->Close());  // Close() unlinks on failure.
-  out->file_path = out_path;
-  out->memory_data.clear();
-  out->buckets.clear();
-  out->segments.assign(num_partitions, RunSegment{});
-  RunSegment& seg = out->segments[partition];
-  seg.offset = 0;
-  seg.length = writer->bytes_written();
-  seg.num_records = writer->records_written();
-  out->block_format = writer->block_format();
-  out->has_crc = false;
-  if (options.checksum && !out->block_format) {
-    out->crc32 = writer->crc32();
-    out->has_crc = true;
-  }
-  ChargeMergePass(options, *writer);
   return Status::OK();
 }
 

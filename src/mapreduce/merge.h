@@ -153,10 +153,6 @@ struct ExternalMergeOptions {
   /// True for the map-side final merge: pass/byte counters are charged to
   /// the MAP_* phase breakouts instead of REDUCE_*.
   bool map_side = false;
-  /// True for eager pre-barrier passes run by the early shuffle service:
-  /// pass/byte counters are charged to the EARLY_* breakout instead of
-  /// the MAP_*/REDUCE_* ones (totals are charged either way).
-  bool early = false;
   /// Map-side only: re-run the combiner across runs while merging.
   RawCombineFn combiner;
   /// Reduce-side only: once-per-job CRC verification of the map runs.
@@ -215,23 +211,6 @@ struct ReduceMergeResult {
 Status PrepareReduceMerge(const ExternalMergeOptions& options,
                           const std::vector<const SpillRun*>& runs,
                           uint32_t partition, ReduceMergeResult* result);
-
-/// \brief One eager (early-shuffle) merge pass: merges partition
-/// `partition` of `runs` — in source order, so the source-index tie-break
-/// is exactly the one the reduce-side plan would apply to the same window
-/// — into a single run file at `out_path`.
-///
-/// On success `*out` is a synthetic partition-segmented SpillRun whose
-/// only non-empty segment is `partition` (sized `num_partitions` so it
-/// can stand in for map runs in a reduce-side source list). Checksummed
-/// inputs are verified through `options.verifier`; on failure the partial
-/// output is unlinked and `*out` is unspecified. At most |runs| sources
-/// plus the output are open at once — callers bound |runs|'s fd cost by
-/// `merge_factor` themselves.
-Status MergePartitionToRun(const ExternalMergeOptions& options,
-                           const std::vector<const SpillRun*>& runs,
-                           uint32_t partition, uint32_t num_partitions,
-                           const std::string& out_path, SpillRun* out);
 
 /// Unlinks the files behind `paths` through `env` (nullptr means
 /// IoEnv::Default()), ignoring missing ones.

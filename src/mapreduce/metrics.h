@@ -54,11 +54,9 @@ struct PipelineMetrics {
     uint64_t map_merge_bytes = 0;
     uint64_t reduce_merge_passes = 0;
     uint64_t reduce_merge_bytes = 0;
-    // Early shuffle (shuffle_slots > 0): intermediate passes run before
-    // the map barrier, and the post-barrier source-prep latency that
-    // remained (summed over successful reduce attempts).
-    uint64_t early_merge_passes = 0;
-    uint64_t early_merge_bytes = 0;
+    // Reduce-side merge-prep time: what reduce tasks spent on their
+    // intermediate passes before the final merge (summed over
+    // successful reduce attempts).
     uint64_t barrier_wait_ms = 0;
     // Fetch shuffle (fetch_shuffle on): transport payload bytes pulled,
     // requests retried over fresh connections, and time map attempts
@@ -122,12 +120,7 @@ struct PipelineMetrics {
         out << ", re-spill map " << r.map_merge_bytes << " B in "
             << r.map_merge_passes << " pass(es) + reduce "
             << r.reduce_merge_bytes << " B in " << r.reduce_merge_passes
-            << " pass(es)";
-      }
-      if (r.early_merge_passes > 0) {
-        out << ", early-merged " << r.early_merge_bytes << " B in "
-            << r.early_merge_passes << " eager pass(es), barrier wait "
-            << r.barrier_wait_ms << " ms";
+            << " pass(es), merge prep " << r.barrier_wait_ms << " ms";
       }
       if (r.shuffle_fetch_bytes > 0 || r.fetch_retries > 0) {
         out << ", fetched " << r.shuffle_fetch_bytes
@@ -171,8 +164,6 @@ struct RunMetrics {
       r.map_merge_bytes = j.Counter(kMapIntermediateMergeBytes);
       r.reduce_merge_passes = j.Counter(kReduceMergePasses);
       r.reduce_merge_bytes = j.Counter(kReduceIntermediateMergeBytes);
-      r.early_merge_passes = j.Counter(kEarlyMergePasses);
-      r.early_merge_bytes = j.Counter(kEarlyMergeBytes);
       r.barrier_wait_ms = j.Counter(kBarrierWaitMs);
       r.shuffle_fetch_bytes = j.Counter(kShuffleFetchBytes);
       r.fetch_retries = j.Counter(kFetchRetries);

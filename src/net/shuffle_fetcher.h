@@ -9,9 +9,9 @@
 // SpillWriter commit protocol (tmp + sync + rename). Block run files
 // carry no file-level trailer and spill segments cover the whole file
 // back-to-back, so the clone is byte-identical to its source and the
-// original segment extents describe it verbatim: merge planning, eager
-// substitution, and the source-order tie-break behave exactly as they
-// would over the original file. That is the determinism-under-placement
+// original segment extents describe it verbatim: merge planning and the
+// source-order tie-break behave exactly as they would over the original
+// file. That is the determinism-under-placement
 // argument in one sentence.
 //
 // Failure handling: each request retries over a fresh connection up to

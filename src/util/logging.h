@@ -1,9 +1,12 @@
 // Minimal leveled logger. Thread-safe; writes to stderr. Level is settable
-// globally so benchmarks can silence job chatter.
+// globally so benchmarks can silence job chatter. Also home to the strict
+// number parser the command-line tools share (ParseDecimal).
 #pragma once
 
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "util/macros.h"
 
@@ -90,4 +93,34 @@ class FatalMessage {
 };
 
 }  // namespace internal
+
+/// Parses a command-line number strictly: `text` must be one or more
+/// decimal digits (no sign, no whitespace, no trailing junk) whose value
+/// times `scale` fits in T. Returns false, leaving `*value` untouched,
+/// otherwise — so "abc", "5x", "-3" and overflow never become 0 or wrap.
+template <typename T>
+bool ParseDecimal(const std::string& text, T* value, T scale = 1) {
+  static_assert(std::is_unsigned_v<T>, "unsigned targets only");
+  constexpr T kMax = std::numeric_limits<T>::max();
+  if (text.empty()) {
+    return false;
+  }
+  T result = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    const T digit = static_cast<T>(c - '0');
+    if (result > (kMax - digit) / 10) {
+      return false;
+    }
+    result = static_cast<T>(result * 10 + digit);
+  }
+  if (scale != 0 && result > kMax / scale) {
+    return false;
+  }
+  *value = static_cast<T>(result * scale);
+  return true;
+}
+
 }  // namespace ngram

@@ -219,31 +219,6 @@ TEST(EquivalenceTest, CompressionOnOffAgreeAcrossMethodsAndMergeFactors) {
   }
 }
 
-TEST(EquivalenceTest, EarlyShuffleOnOffAgreeAcrossMethods) {
-  // The early shuffle only changes *when* intermediate merge passes run,
-  // never what they produce: with spill-heavy buffers and a small merge
-  // factor (so eager windows actually form and merge), every method must
-  // produce identical statistics with overlap on or off.
-  const Corpus corpus = testing::RandomCorpus(103, 60, 6, 3, 12);
-  const CorpusContext ctx = BuildCorpusContext(corpus);
-  for (Method method :
-       {Method::kNaive, Method::kAprioriScan, Method::kAprioriIndex,
-        Method::kSuffixSigma}) {
-    NgramJobOptions with = testing::TestOptions(method, 2, 4);
-    with.sort_buffer_bytes = 2048;
-    with.merge_factor = 4;
-    with.shuffle_slots = 2;
-    NgramJobOptions without = with;
-    without.shuffle_slots = 0;
-    auto a = ComputeNgramStatistics(ctx, with);
-    auto b = ComputeNgramStatistics(ctx, without);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_GT(a->metrics.TotalCounter(mr::kSpillFiles), 0u);
-    EXPECT_TRUE(a->stats.SameAs(b->stats)) << MethodName(method);
-  }
-}
-
 TEST(EquivalenceTest, CompressionOnOffAgreeForMaximalAndClosed) {
   const Corpus corpus = testing::RandomCorpus(111, 50, 6, 3, 12);
   const CorpusContext ctx = BuildCorpusContext(corpus);

@@ -113,7 +113,7 @@ JobResult RunFetchJob(JobConfig config, const std::string& work_dir) {
   return result;
 }
 
-JobConfig FetchConfig(uint32_t merge_factor, uint32_t shuffle_slots) {
+JobConfig FetchConfig(uint32_t merge_factor) {
   JobConfig config;
   config.name = "fetch-test";
   config.sort_buffer_bytes = 512;  // Spill-heavy.
@@ -122,7 +122,6 @@ JobConfig FetchConfig(uint32_t merge_factor, uint32_t shuffle_slots) {
   config.map_slots = 2;
   config.reduce_slots = 2;
   config.merge_factor = merge_factor;
-  config.shuffle_slots = shuffle_slots;
   return config;
 }
 
@@ -136,42 +135,37 @@ size_t FilesIn(const std::string& dir) {
 }
 
 /// The identity sweep: fetch on (both transports) vs fetch off across
-/// merge factor x shuffle slots. Output bytes and data counters must
-/// match exactly; fetch mode must actually move bytes over the wire.
+/// merge factors. Output bytes and data counters must match exactly;
+/// fetch mode must actually move bytes over the wire.
 TEST(FetchShuffleTest, OutputAndDataCountersIdenticalAcrossConfigs) {
   for (uint32_t merge_factor : {2u, 16u, 0u}) {
-    for (uint32_t shuffle_slots : {0u, 2u}) {
-      const JobConfig base = FetchConfig(merge_factor, shuffle_slots);
-      auto off_dir = TempDir::Create("fetch-off");
-      ASSERT_TRUE(off_dir.ok());
-      const JobResult off = RunFetchJob(base, off_dir->path().string());
-      ASSERT_TRUE(off.status.ok()) << off.status.ToString();
-      EXPECT_EQ(off.counters.count(kShuffleFetchBytes), 0u);
+    const JobConfig base = FetchConfig(merge_factor);
+    auto off_dir = TempDir::Create("fetch-off");
+    ASSERT_TRUE(off_dir.ok());
+    const JobResult off = RunFetchJob(base, off_dir->path().string());
+    ASSERT_TRUE(off.status.ok()) << off.status.ToString();
+    EXPECT_EQ(off.counters.count(kShuffleFetchBytes), 0u);
 
-      for (const ShuffleTransport transport :
-           {ShuffleTransport::kInProc, ShuffleTransport::kUnixSocket}) {
-        JobConfig fetch = base;
-        fetch.fetch_shuffle = true;
-        fetch.shuffle_transport = transport;
-        auto on_dir = TempDir::Create("fetch-on");
-        ASSERT_TRUE(on_dir.ok());
-        const std::string work_dir = on_dir->path().string();
-        const JobResult on = RunFetchJob(fetch, work_dir);
-        const std::string label =
-            "merge_factor=" + std::to_string(merge_factor) +
-            " shuffle_slots=" + std::to_string(shuffle_slots) +
-            " transport=" +
-            (transport == ShuffleTransport::kInProc ? "inproc" : "socket");
-        ASSERT_TRUE(on.status.ok()) << label << ": "
-                                    << on.status.ToString();
-        EXPECT_EQ(on.output_bytes, off.output_bytes) << label;
-        EXPECT_EQ(DataCounters(on.counters), DataCounters(off.counters))
-            << label;
-        // Every shuffled byte crossed the transport.
-        EXPECT_GT(on.counters.at(kShuffleFetchBytes), 0u) << label;
-        // Both cleanup guards ran: no clone, origin, or socket leftovers.
-        EXPECT_EQ(FilesIn(work_dir), 0u) << label;
-      }
+    for (const ShuffleTransport transport :
+         {ShuffleTransport::kInProc, ShuffleTransport::kUnixSocket}) {
+      JobConfig fetch = base;
+      fetch.fetch_shuffle = true;
+      fetch.shuffle_transport = transport;
+      auto on_dir = TempDir::Create("fetch-on");
+      ASSERT_TRUE(on_dir.ok());
+      const std::string work_dir = on_dir->path().string();
+      const JobResult on = RunFetchJob(fetch, work_dir);
+      const std::string label =
+          "merge_factor=" + std::to_string(merge_factor) + " transport=" +
+          (transport == ShuffleTransport::kInProc ? "inproc" : "socket");
+      ASSERT_TRUE(on.status.ok()) << label << ": " << on.status.ToString();
+      EXPECT_EQ(on.output_bytes, off.output_bytes) << label;
+      EXPECT_EQ(DataCounters(on.counters), DataCounters(off.counters))
+          << label;
+      // Every shuffled byte crossed the transport.
+      EXPECT_GT(on.counters.at(kShuffleFetchBytes), 0u) << label;
+      // Both cleanup guards ran: no clone, origin, or socket leftovers.
+      EXPECT_EQ(FilesIn(work_dir), 0u) << label;
     }
   }
 }
@@ -179,7 +173,7 @@ TEST(FetchShuffleTest, OutputAndDataCountersIdenticalAcrossConfigs) {
 /// Fetch bytes are themselves deterministic (fault-free): two identical
 /// fetch-on runs move exactly the same bytes over the wire.
 TEST(FetchShuffleTest, FetchByteCountIsDeterministic) {
-  JobConfig config = FetchConfig(/*merge_factor=*/2, /*shuffle_slots=*/0);
+  JobConfig config = FetchConfig(/*merge_factor=*/2);
   config.fetch_shuffle = true;
   auto dir_a = TempDir::Create("fetch-det-a");
   auto dir_b = TempDir::Create("fetch-det-b");
@@ -199,7 +193,7 @@ TEST(FetchShuffleTest, FetchByteCountIsDeterministic) {
 /// map attempts exhausted, clean Status, clean work_dir — never hang or
 /// emit partial output.
 TEST(FetchShuffleTest, UnreachableServerFailsCleanly) {
-  JobConfig config = FetchConfig(/*merge_factor=*/16, /*shuffle_slots=*/0);
+  JobConfig config = FetchConfig(/*merge_factor=*/16);
   config.fetch_shuffle = true;
   // External server address: the job dials instead of serving loopback —
   // and nothing is listening there.
@@ -221,7 +215,7 @@ TEST(FetchShuffleTest, UnreachableServerFailsCleanly) {
 /// one (chaos tests decorate it with FaultTransport).
 TEST(FetchShuffleTest, TransportOverrideSeamCarriesTheShuffle) {
   net::InProcTransport transport;
-  JobConfig config = FetchConfig(/*merge_factor=*/2, /*shuffle_slots=*/0);
+  JobConfig config = FetchConfig(/*merge_factor=*/2);
   config.fetch_shuffle = true;
   config.shuffle_transport_override = &transport;
   auto dir = TempDir::Create("fetch-seam");
@@ -230,7 +224,7 @@ TEST(FetchShuffleTest, TransportOverrideSeamCarriesTheShuffle) {
   ASSERT_TRUE(on.status.ok()) << on.status.ToString();
   EXPECT_GT(on.counters.at(kShuffleFetchBytes), 0u);
 
-  JobConfig off_config = FetchConfig(2, 0);
+  JobConfig off_config = FetchConfig(2);
   auto off_dir = TempDir::Create("fetch-seam-off");
   ASSERT_TRUE(off_dir.ok());
   const JobResult off = RunFetchJob(off_config, off_dir->path().string());
@@ -271,11 +265,10 @@ TEST(FetchShuffleTest, AllMethodsAgreeFetchOnAndOff) {
 }
 
 /// Concurrency shape for the TSan job (ci.yml runs FetchShuffleStressTest.*
-/// under ThreadSanitizer): wide slots, overlap on, fetch on — map
-/// attempts mirroring through one server while eager mergers read the
-/// clone registry.
-TEST(FetchShuffleStressTest, ConcurrentMirrorsAndEagerMergesStayIdentical) {
-  JobConfig config = FetchConfig(/*merge_factor=*/2, /*shuffle_slots=*/2);
+/// under ThreadSanitizer): wide slots, fetch on — map attempts mirroring
+/// through one server while reduce tasks read the clone registry.
+TEST(FetchShuffleStressTest, ConcurrentMirrorsStayIdentical) {
+  JobConfig config = FetchConfig(/*merge_factor=*/2);
   config.fetch_shuffle = true;
   config.num_map_tasks = 6;
   config.map_slots = 4;

@@ -1,17 +1,23 @@
 // Bounded-fan-in external merge at scale: many-spill stress, byte-identical
 // determinism across merge factors, fd-pressure under a lowered RLIMIT_NOFILE,
-// and CRC verification of checksummed runs on the reduce-side read path.
+// CRC verification of checksummed runs on the reduce-side read path, and the
+// reduce-side merge plan (PrepareReduceMerge sizes its first intermediate
+// pass remainder-first over the smallest consecutive window).
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mapreduce/job.h"
+#include "mapreduce/merge.h"
+#include "mapreduce/runfile.h"
 #include "util/temp_dir.h"
 
 namespace ngram::mr {
@@ -285,42 +291,6 @@ TEST(MergeStressTest, CompletesUnderLowFdLimit) {
   }
 }
 
-TEST(MergeStressTest, CompletesUnderLowFdLimitWithEarlyShuffle) {
-  // Same fd-pressure scenario with the early shuffle overlapping eager
-  // merges with map execution: the service's own merge passes open at
-  // most merge_factor sources plus one output per worker, so the fd
-  // ceiling holds with the pipeline enabled too — and the output still
-  // matches the overlap-off run byte for byte.
-  struct rlimit saved;
-  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
-  struct rlimit lowered = saved;
-  lowered.rlim_cur = 64;
-  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
-
-  JobConfig config;
-  config.sort_buffer_bytes = 1024;
-  config.num_map_tasks = 32;
-  config.map_slots = 2;
-  config.reduce_slots = 2;
-  config.num_reducers = 2;
-  config.merge_factor = 4;
-  config.shuffle_slots = 2;
-  RecordTable output;
-  auto metrics = RunStressJob(config, 640, 10, &output);
-
-  JobConfig plain = config;
-  plain.shuffle_slots = 0;
-  RecordTable plain_output;
-  auto plain_metrics = RunStressJob(plain, 640, 10, &plain_output);
-
-  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  ASSERT_TRUE(plain_metrics.ok()) << plain_metrics.status().ToString();
-  EXPECT_GE(metrics->Counter(kSpillFiles), 256u);
-  EXPECT_EQ(output.num_records(), 640u * 10u);
-  EXPECT_EQ(TableBytes(output), TableBytes(plain_output));
-}
-
 TEST(MergeStressTest, CompletesUnderLowFdLimitRawRuns) {
   // Same fd-pressure scenario over raw-format runs (compress_runs off).
   struct rlimit saved;
@@ -582,6 +552,184 @@ TEST(MergeStressTest, ChecksummedMultiPassMergeVerifiesEveryStage) {
   RecordTable plain_output;
   ASSERT_TRUE(RunStressJob(plain, 240, 6, &plain_output).ok());
   EXPECT_EQ(TableBytes(output), TableBytes(plain_output));
+}
+
+// ------------------------------------------------ merge-plan unit tests
+
+/// Writes one single-partition block-format run of `records` to `path`.
+SpillRun WriteRun(
+    const std::string& path,
+    const std::vector<std::pair<std::string, std::string>>& records) {
+  RunWriterOptions options;
+  auto writer = NewRunWriter(path, options);
+  EXPECT_TRUE(writer->Open().ok());
+  for (const auto& [k, v] : records) {
+    EXPECT_TRUE(writer->Append(k, v).ok());
+  }
+  EXPECT_TRUE(writer->FinishSegment().ok());
+  EXPECT_TRUE(writer->Close().ok());
+  SpillRun run;
+  run.file_path = path;
+  run.segments = {{0, writer->bytes_written(),
+                   static_cast<uint64_t>(records.size())}};
+  run.block_format = writer->block_format();
+  return run;
+}
+
+/// Drains `result`'s final-pass sources through the reducer-feeding
+/// merger into raw frames (the exact record stream a reducer would see).
+std::string DrainPlan(ReduceMergeResult* result) {
+  KWayMerger merger(std::move(result->sources),
+                    BytewiseComparator::Instance());
+  std::string bytes;
+  while (merger.Next()) {
+    AppendRecord(&bytes, merger.key(), merger.value());
+  }
+  EXPECT_TRUE(merger.status().ok());
+  return bytes;
+}
+
+struct PlanFixture {
+  std::vector<SpillRun> runs;
+  std::vector<const SpillRun*> pointers;
+  Counters counters;
+  TaskCounters tc{&counters};
+  RunCrcVerifier verifier;
+
+  ExternalMergeOptions Options(const std::string& work_dir,
+                               uint32_t merge_factor) {
+    ExternalMergeOptions options;
+    options.merge_factor = merge_factor;
+    options.work_dir = work_dir;
+    options.name_prefix = "plan-test";
+    options.verifier = &verifier;
+    options.counters = &tc;
+    return options;
+  }
+
+  void Finish() { tc.Flush(); }
+};
+
+/// `num_runs` runs with overlapping keys and (run, index)-tagged values;
+/// runs in `tiny` get a single short record, the rest `bulk_records`
+/// long ones.
+void BuildRuns(PlanFixture* fix, const std::string& dir, size_t num_runs,
+               const std::vector<size_t>& tiny, size_t bulk_records) {
+  for (size_t r = 0; r < num_runs; ++r) {
+    std::vector<std::pair<std::string, std::string>> records;
+    const bool is_tiny =
+        std::find(tiny.begin(), tiny.end(), r) != tiny.end();
+    const size_t n = is_tiny ? 1 : bulk_records;
+    for (size_t i = 0; i < n; ++i) {
+      records.emplace_back(
+          "key" + std::to_string((r * 7 + i) % 11),
+          "run" + std::to_string(r) + ":" + std::to_string(i) +
+              (is_tiny ? "" : std::string(40, 'x')));
+    }
+    std::sort(records.begin(), records.end());
+    fix->runs.push_back(
+        WriteRun(dir + "/run-" + std::to_string(r) + ".run", records));
+  }
+  for (const SpillRun& run : fix->runs) {
+    fix->pointers.push_back(&run);
+  }
+}
+
+TEST(ReduceMergePlanTest, FirstPassMergesTheSmallestRemainderWindow) {
+  // 18 fd sources at factor 16: one pass of (18 - 16 - 1) % 15 + 2 = 3
+  // consecutive sources brings the count to 16. Among the sixteen
+  // candidate windows of size 3, the one covering the three tiny runs
+  // (indices 7..9) has by far the fewest at-rest bytes — the plan must
+  // pick it, so the intermediate output is tiny too.
+  auto dir = TempDir::Create("plan-smallest");
+  ASSERT_TRUE(dir.ok());
+  PlanFixture fix;
+  BuildRuns(&fix, dir->path().string(), 18, {7, 8, 9}, 60);
+
+  ReduceMergeResult result;
+  ASSERT_TRUE(PrepareReduceMerge(fix.Options(dir->path().string(), 16),
+                                 fix.pointers, 0, &result)
+                  .ok());
+  EXPECT_EQ(result.sources.size(), 16u);
+  ASSERT_EQ(result.intermediate_files.size(), 1u);
+  const std::string merged = DrainPlan(&result);
+  RemoveFiles(result.intermediate_files);
+  fix.Finish();
+  EXPECT_EQ(fix.counters.Get(kReduceMergePasses), 1u);
+  // A window containing even one bulk run would re-spill > 2 KiB; the
+  // tiny window re-spills three short records.
+  const uint64_t bytes = fix.counters.Get(kReduceIntermediateMergeBytes);
+  EXPECT_GT(bytes, 0u);
+  EXPECT_LT(bytes, 500u);
+
+  // And the bounded plan's record stream is byte-identical to the
+  // unbounded single-pass merge of the same sources.
+  ReduceMergeResult unbounded;
+  ASSERT_TRUE(PrepareReduceMerge(fix.Options(dir->path().string(), 0),
+                                 fix.pointers, 0, &unbounded)
+                  .ok());
+  EXPECT_TRUE(unbounded.intermediate_files.empty());
+  EXPECT_EQ(DrainPlan(&unbounded), merged);
+}
+
+TEST(ReduceMergePlanTest, RemainderFirstSizingKeepsLaterPassesFull) {
+  // 20 equal fd sources at factor 16: remainder-first means ONE pass of
+  // (20 - 16 - 1) % 15 + 2 = 5 sources (a naive full-width sweep would
+  // merge 16 of the 20 — re-spilling three times the bytes). All runs are
+  // the same size, so the byte charge bounds the window the plan chose.
+  auto dir = TempDir::Create("plan-remainder");
+  ASSERT_TRUE(dir.ok());
+  PlanFixture fix;
+  BuildRuns(&fix, dir->path().string(), 20, {}, 40);
+  const uint64_t run_bytes = fix.runs[0].segments[0].length;
+
+  ReduceMergeResult result;
+  ASSERT_TRUE(PrepareReduceMerge(fix.Options(dir->path().string(), 16),
+                                 fix.pointers, 0, &result)
+                  .ok());
+  EXPECT_EQ(result.sources.size(), 16u);
+  EXPECT_EQ(result.intermediate_files.size(), 1u);
+  const std::string merged = DrainPlan(&result);
+  RemoveFiles(result.intermediate_files);
+  fix.Finish();
+  EXPECT_EQ(fix.counters.Get(kReduceMergePasses), 1u);
+  const uint64_t bytes = fix.counters.Get(kReduceIntermediateMergeBytes);
+  // ~5 runs' worth re-encoded (front-coding makes the output a bit
+  // smaller or larger than the inputs; bound it well clear of 16 runs).
+  EXPECT_GT(bytes, 2 * run_bytes);
+  EXPECT_LT(bytes, 8 * run_bytes);
+
+  ReduceMergeResult unbounded;
+  ASSERT_TRUE(PrepareReduceMerge(fix.Options(dir->path().string(), 0),
+                                 fix.pointers, 0, &unbounded)
+                  .ok());
+  EXPECT_EQ(DrainPlan(&unbounded), merged);
+}
+
+TEST(ReduceMergePlanTest, MultiPassPlansStayByteIdentical) {
+  // Deep recursion: 20 sources at factor 2 forces a long chain of
+  // two-way intermediate passes; the final stream must still match the
+  // unbounded merge exactly (tie-break preserved through every level).
+  auto dir = TempDir::Create("plan-deep");
+  ASSERT_TRUE(dir.ok());
+  PlanFixture fix;
+  BuildRuns(&fix, dir->path().string(), 20, {3, 11}, 15);
+
+  ReduceMergeResult bounded;
+  ASSERT_TRUE(PrepareReduceMerge(fix.Options(dir->path().string(), 2),
+                                 fix.pointers, 0, &bounded)
+                  .ok());
+  EXPECT_LE(bounded.sources.size(), 2u);
+  const std::string merged = DrainPlan(&bounded);
+  RemoveFiles(bounded.intermediate_files);
+  fix.Finish();
+  EXPECT_EQ(fix.counters.Get(kReduceMergePasses), 18u);  // 20 -> 2, -1 each.
+
+  ReduceMergeResult unbounded;
+  ASSERT_TRUE(PrepareReduceMerge(fix.Options(dir->path().string(), 0),
+                                 fix.pointers, 0, &unbounded)
+                  .ok());
+  EXPECT_EQ(DrainPlan(&unbounded), merged);
 }
 
 }  // namespace
