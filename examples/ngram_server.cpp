@@ -32,14 +32,17 @@ int Usage() {
   return 2;
 }
 
+/// Parses the rest of the line as term ids. Every token must be a whole
+/// decimal TermId; term ids are positive (0 is reserved).
 bool ParseTerms(std::istringstream* in, TermSequence* terms) {
   terms->clear();
-  long long value = 0;
-  while (*in >> value) {
-    if (value <= 0) {
-      return false;  // Term ids are positive; 0 is reserved.
+  std::string token;
+  while (*in >> token) {
+    TermId id = 0;
+    if (!ParseDecimal(token, &id) || id == 0) {
+      return false;
     }
-    terms->push_back(static_cast<TermId>(value));
+    terms->push_back(id);
   }
   return true;
 }
@@ -102,13 +105,14 @@ int main(int argc, char** argv) {
       printf("count %s = %llu\n", SequenceToDebugString(terms).c_str(),
              static_cast<unsigned long long>(*count));
     } else if (command == "topk") {
-      long long k = 0;
-      if (!(in >> k) || k <= 0 || !ParseTerms(&in, &terms)) {
+      std::string k_token;
+      size_t k = 0;
+      if (!(in >> k_token) || !ParseDecimal(k_token, &k) || k == 0 ||
+          !ParseTerms(&in, &terms)) {
         printf("error: topk needs k >= 1 then prefix term ids\n");
         continue;
       }
-      auto completions =
-          (*service)->TopKCompletions(terms, static_cast<size_t>(k));
+      auto completions = (*service)->TopKCompletions(terms, k);
       if (!completions.ok()) {
         printf("error: %s\n", completions.status().ToString().c_str());
         continue;

@@ -137,8 +137,13 @@ int CmdStats(const std::vector<std::string>& args) {
         return Usage();
       }
     } else if (ParseFlag(args[i], "mode", &value)) {
-      options.frequency_mode = value == "df" ? FrequencyMode::kDocument
-                                             : FrequencyMode::kCollection;
+      if (value == "cf") {
+        options.frequency_mode = FrequencyMode::kCollection;
+      } else if (value == "df") {
+        options.frequency_mode = FrequencyMode::kDocument;
+      } else {
+        return Usage();
+      }
     } else if (ParseFlag(args[i], "reducers", &value)) {
       if (!ParseDecimal(value, &options.num_reducers)) {
         return Usage();

@@ -1,11 +1,10 @@
 #include "core/apriori_index.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 
 #include "core/counting.h"
-#include "kvstore/spillable.h"
+#include "mapreduce/spillable_list.h"
 #include "util/logging.h"
 
 namespace ngram {
@@ -193,27 +192,30 @@ class IndexJoinMapper final
   std::string value_;              // Reused across records.
 };
 
-/// Reducer #2: joins every compatible l-seq/r-seq pair. Buffered values
-/// spill to the KV store past the memory budget.
+/// Reducer #2: joins every compatible l-seq/r-seq pair. Past the memory
+/// budget a side's buffer moves to a run file in the job's work_dir; the
+/// files are removed when the group ends, whatever its outcome.
 class IndexJoinReducer final
     : public mr::Reducer<TermSequence, TaggedPostings, TermSequence,
                          PostingList> {
  public:
-  IndexJoinReducer(const NgramJobOptions& options, std::string spill_dir,
-                   uint32_t k)
-      : options_(options), spill_dir_(std::move(spill_dir)), k_(k) {}
+  explicit IndexJoinReducer(const NgramJobOptions& options)
+      : options_(options) {}
 
   Status Reduce(const TermSequence& key, Values* values,
                 Context* ctx) override {
     // Separate buffers for the two sides; each holds (k-1)-grams with
-    // posting lists and may exceed memory.
-    const std::string base = spill_dir_ + "/r" +
-                             std::to_string(ctx->reducer_id()) + "-g" +
-                             std::to_string(group_seq_++);
-    kv::SpillableVector<TaggedPostings> left(
-        base + "-l", options_.reducer_memory_budget_bytes / 2);
-    kv::SpillableVector<TaggedPostings> right(
-        base + "-r", options_.reducer_memory_budget_bytes / 2);
+    // posting lists and may exceed memory. The names are private to this
+    // reduce attempt, so a retry never meets a discarded attempt's file.
+    const std::string base =
+        ctx->work_dir() + "/join-r" + std::to_string(ctx->reducer_id()) +
+        "-a" + std::to_string(ctx->attempt()) + "-g" +
+        std::to_string(group_seq_++);
+    const size_t side_budget = options_.reducer_memory_budget_bytes / 2;
+    mr::SpillableList<TaggedPostings> left(base + "-l", side_budget,
+                                           options_.io_env);
+    mr::SpillableList<TaggedPostings> right(base + "-r", side_budget,
+                                            options_.io_env);
 
     TaggedPostings t;
     while (values->Next(&t)) {
@@ -225,7 +227,7 @@ class IndexJoinReducer final
     }
 
     // Nested-loop join over compatible pairs (Algorithm 3 Reducer #2).
-    Status status = left.ForEach([&](const TaggedPostings& m) -> Status {
+    return left.ForEach([&](const TaggedPostings& m) -> Status {
       return right.ForEach([&](const TaggedPostings& n) -> Status {
         PostingList joined = JoinAdjacent(m.list, n.list);
         if (FrequencyOfList(joined, options_.frequency_mode) >=
@@ -237,13 +239,10 @@ class IndexJoinReducer final
         return Status::OK();
       });
     });
-    return status;
   }
 
  private:
   const NgramJobOptions options_;
-  const std::string spill_dir_;
-  const uint32_t k_;
   uint64_t group_seq_ = 0;
 };
 
@@ -254,18 +253,6 @@ Result<AprioriIndexResult> RunAprioriIndexWithIndex(
   AprioriIndexResult result;
   const uint32_t sigma = options.sigma_or_max();
   const uint32_t cap_k = std::max<uint32_t>(1, options.apriori_index_k);
-
-  // Spill root for reducer buffers (phase 2) and auto temp dir fallback.
-  std::string spill_root = options.work_dir;
-  std::unique_ptr<TempDir> auto_dir;
-  if (spill_root.empty()) {
-    auto created = TempDir::Create("ngram-apriori-index");
-    if (!created.ok()) {
-      return created.status();
-    }
-    auto_dir = std::make_unique<TempDir>(std::move(created).ValueOrDie());
-    spill_root = auto_dir->path().string();
-  }
 
   // Rounds chain serialized: round k's reducer output feeds round k+1's
   // mappers as slices. The typed decode below happens once per round,
@@ -320,22 +307,13 @@ Result<AprioriIndexResult> RunAprioriIndexWithIndex(
 
   // ----- Phase 2: k = K+1 .. sigma, joining posting lists.
   for (uint32_t k = phase1_end + 1; k <= sigma; ++k) {
-    const std::string spill_dir =
-        spill_root + "/join-k" + std::to_string(k);
     mr::JobConfig config =
         MakeBaseJobConfig(options, "apriori-index-join-k" + std::to_string(k));
     mr::RecordTable output;
     auto metrics = mr::RunJob<IndexJoinMapper, IndexJoinReducer>(
         config, previous, [] { return std::make_unique<IndexJoinMapper>(); },
-        [&options, &spill_dir, k] {
-          return std::make_unique<IndexJoinReducer>(options, spill_dir, k);
-        },
+        [&options] { return std::make_unique<IndexJoinReducer>(options); },
         &output);
-    // The job's reducers (and their KV stores) are gone by now; drop the
-    // spill directory so a caller-supplied work_dir comes back clean on
-    // success and on failure alike.
-    std::error_code ec;
-    std::filesystem::remove_all(spill_dir, ec);  // Best effort.
     if (!metrics.ok()) {
       return metrics.status();
     }

@@ -10,7 +10,7 @@
 // (tagged r-seq) and by its suffix (tagged l-seq) — each carrying its
 // posting list. Reducer #2 joins every compatible (l-seq m, r-seq n) pair
 // positionally to form the k-gram m || last(n). Buffered posting lists
-// migrate to the disk KV store past the reducer memory budget (Section V).
+// move to block run files past the reducer memory budget (Section V).
 //
 // Besides the statistics, the run yields the positional index itself.
 #pragma once

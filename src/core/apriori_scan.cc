@@ -56,12 +56,16 @@ class AprioriScanMapper final : public mr::RawMapper<TermSequence, uint64_t> {
     // frequent. The probes are sub-slices of the input bytes, and window
     // b's trailing (k-1)-gram is window b+1's leading one, so each window
     // costs one dictionary probe, not two — the previous result carries.
-    bool lead_ok =
-        k_ > 1 ? dict_->Contains(cursor_.Range(pb, pb + k_ - 1)) : true;
+    bool lead_ok = true;
+    if (k_ > 1) {
+      NGRAM_RETURN_NOT_OK(
+          dict_->Contains(cursor_.Range(pb, pb + k_ - 1), &lead_ok));
+    }
     for (size_t b = pb; b + k_ <= pe; ++b) {
       bool trail_ok = true;
       if (k_ > 1) {
-        trail_ok = dict_->Contains(cursor_.Range(b + 1, b + k_));
+        NGRAM_RETURN_NOT_OK(
+            dict_->Contains(cursor_.Range(b + 1, b + k_), &trail_ok));
       }
       if (lead_ok && trail_ok) {
         NGRAM_RETURN_NOT_OK(
@@ -129,13 +133,11 @@ Result<NgramRun> RunAprioriScan(const CorpusContext& ctx,
       // iteration's serialized output: the record keys already ARE the
       // encoded k-grams, so inserts are slice copies, not re-encodes.
       SequenceSet::Options dict_options;
-      dict_options.memory_budget_bytes = options.reducer_memory_budget_bytes;
+      dict_options.env = options.io_env;
       if (!options.work_dir.empty()) {
-        dict_options.spill_dir =
+        dict_options.memory_budget_bytes = options.reducer_memory_budget_bytes;
+        dict_options.spill_prefix =
             options.work_dir + "/apriori-scan-dict-k" + std::to_string(k);
-      } else {
-        dict_options.spill_dir = "";
-        dict_options.memory_budget_bytes = SIZE_MAX;  // No spill target.
       }
       auto next_dict = std::make_shared<SequenceSet>(dict_options);
       auto reader = output.NewReader();
@@ -143,6 +145,7 @@ Result<NgramRun> RunAprioriScan(const CorpusContext& ctx,
         NGRAM_RETURN_NOT_OK(next_dict->Insert(reader->key()));
       }
       NGRAM_RETURN_NOT_OK(reader->status());
+      NGRAM_RETURN_NOT_OK(next_dict->Finish());
       dict = std::move(next_dict);
     }
     NGRAM_RETURN_NOT_OK(DrainCounts(output, &run.stats));

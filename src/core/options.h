@@ -129,11 +129,12 @@ struct NgramJobOptions {
   std::string shuffle_server_address;
 
   /// Memory budget for reducer-side buffered state (APRIORI-INDEX posting
-  /// buffers, APRIORI-SCAN dictionary) before migrating to the disk KV
-  /// store.
+  /// buffers, APRIORI-SCAN dictionary) before it moves to block run files
+  /// in work_dir.
   size_t reducer_memory_budget_bytes = 256ULL << 20;
 
-  /// Spill directory (shuffle runs, KV stores). Empty = private temp dir.
+  /// Spill directory (shuffle runs, reducer spills). Empty = private temp
+  /// dir.
   std::string work_dir;
 
   uint32_t sigma_or_max() const {

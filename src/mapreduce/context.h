@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "encoding/serde.h"
 #include "mapreduce/comparator.h"
@@ -105,8 +106,12 @@ template <typename K, typename V>
 class ReduceContext {
  public:
   ReduceContext(RecordTable* output, TaskCounters* counters,
-                uint32_t reducer_id)
-      : output_(output), counters_(counters), reducer_id_(reducer_id) {}
+                uint32_t reducer_id, uint32_t attempt, std::string work_dir)
+      : output_(output),
+        counters_(counters),
+        reducer_id_(reducer_id),
+        attempt_(attempt),
+        work_dir_(std::move(work_dir)) {}
 
   Status Emit(const K& key, const V& value) {
     scratch_.clear();
@@ -128,11 +133,19 @@ class ReduceContext {
 
   TaskCounters* counters() { return counters_; }
   uint32_t reducer_id() const { return reducer_id_; }
+  /// This reduce task's attempt number, unique per task within the job.
+  uint32_t attempt() const { return attempt_; }
+  /// The job's work_dir, where reducers keep scratch files. Names must be
+  /// private to (reducer_id(), attempt()), and the files gone when the
+  /// attempt ends.
+  const std::string& work_dir() const { return work_dir_; }
 
  private:
   RecordTable* output_;
   TaskCounters* counters_;
   uint32_t reducer_id_;
+  uint32_t attempt_;
+  std::string work_dir_;
   std::string scratch_;
 };
 

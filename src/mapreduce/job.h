@@ -837,7 +837,8 @@ Result<JobMetrics> RunJob(
           // conclusive for group-boundary detection.
           const bool grouping_is_sort = grouping == config.sort_comparator;
 
-          ReduceContext<KOut, VOut> rctx(&reducer_outputs[r], &tc, r);
+          ReduceContext<KOut, VOut> rctx(&reducer_outputs[r], &tc, r,
+                                         attempt_seq, work_dir);
           std::unique_ptr<RawReducer<KOut, VOut>> reducer;
           if constexpr (kIsRawReducer<R>) {
             reducer = make_reducer();

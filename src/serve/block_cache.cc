@@ -1,4 +1,4 @@
-#include "kvstore/block_cache.h"
+#include "serve/block_cache.h"
 
 namespace ngram::kv {
 

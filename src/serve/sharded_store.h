@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "kvstore/block_cache.h"
+#include "serve/block_cache.h"
 #include "mapreduce/io_env.h"
 #include "serve/manifest.h"
 #include "util/macros.h"
@@ -44,8 +44,8 @@ namespace ngram::serve {
 /// Tuning knobs for opening a store.
 struct ServingOptions {
   /// Shared block cache; a private cache of `cache_bytes` is created when
-  /// null. Sharing one cache across stores (and with KV stores) is safe —
-  /// cache file ids are process-unique.
+  /// null. Sharing one cache across stores is safe — cache file ids are
+  /// process-unique.
   std::shared_ptr<kv::BlockCache> cache;
   /// Capacity of the private cache when `cache` is null, charged in
   /// compressed payload bytes; 0 disables caching (every query checks and

@@ -25,7 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "kvstore/block_cache.h"
+#include "serve/block_cache.h"
 #include "lm/language_model.h"
 #include "serve/sharded_store.h"
 #include "text/corpus.h"

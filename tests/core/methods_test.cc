@@ -10,6 +10,7 @@
 #include "core/runner.h"
 #include "core/suffix_sigma.h"
 #include "corpus/running_example.h"
+#include "testing/recording_env.h"
 #include "testing/test_util.h"
 #include "util/temp_dir.h"
 
@@ -25,6 +26,26 @@ NgramStatistics ExpectedRunningExample() {
   }
   expected.SortCanonical();
   return expected;
+}
+
+/// Files and directories left under `dir`.
+std::vector<std::string> Leftovers(const std::filesystem::path& dir) {
+  std::vector<std::string> leftovers;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    leftovers.push_back(entry.path().string());
+  }
+  return leftovers;
+}
+
+bool AnyPathContains(const std::vector<std::string>& paths,
+                     const std::string& fragment) {
+  for (const std::string& path : paths) {
+    if (path.find(fragment) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
 }
 
 class RunningExampleMethodTest : public ::testing::TestWithParam<Method> {};
@@ -193,7 +214,7 @@ TEST(AprioriIndexMethodTest, TinyReducerBudgetSpillsAndStaysCorrect) {
   const CorpusContext ctx = BuildCorpusContext(corpus);
   NgramJobOptions options = TestOptions(Method::kAprioriIndex, 2, 5);
   options.apriori_index_k = 2;
-  options.reducer_memory_budget_bytes = 128;  // Force KV-store spill.
+  options.reducer_memory_budget_bytes = 128;  // Force posting-buffer spills.
   auto spilled = RunAprioriIndex(ctx, options);
   ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
   options.reducer_memory_budget_bytes = 256 << 20;
@@ -209,16 +230,78 @@ TEST(AprioriIndexMethodTest, SpillingRunLeavesWorkDirEmpty) {
   ASSERT_TRUE(work_dir.ok());
   NgramJobOptions options = TestOptions(Method::kAprioriIndex, 2, 5);
   options.apriori_index_k = 2;
-  options.reducer_memory_budget_bytes = 128;  // Force KV-store spill.
+  options.reducer_memory_budget_bytes = 128;  // Force posting-buffer spills.
   options.work_dir = work_dir->path().string();
+  testing::RecordingEnv env;
+  options.io_env = &env;
   auto run = RunAprioriIndex(ctx, options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_FALSE(run->stats.empty());
-  std::vector<std::string> leftovers;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(work_dir->path())) {
-    leftovers.push_back(entry.path().string());
+  EXPECT_TRUE(AnyPathContains(env.written(), "/join-r"));
+  const std::vector<std::string> leftovers = Leftovers(work_dir->path());
+  EXPECT_TRUE(leftovers.empty())
+      << leftovers.size() << " leftover(s), first: " << leftovers.front();
+}
+
+TEST(AprioriIndexMethodTest, JoinSpillBitFlipIsCaughtAndRetried) {
+  const Corpus corpus = testing::RandomCorpus(11, 40, 5, 3, 10);
+  const CorpusContext ctx = BuildCorpusContext(corpus);
+  auto work_dir = TempDir::Create("apriori-index-workdir");
+  ASSERT_TRUE(work_dir.ok());
+  NgramJobOptions options = TestOptions(Method::kAprioriIndex, 2, 5);
+  options.apriori_index_k = 2;
+  options.work_dir = work_dir->path().string();
+  auto in_memory = RunAprioriIndex(ctx, options);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+
+  options.reducer_memory_budget_bytes = 128;  // Force posting-buffer spills.
+  {
+    // The join's spill files are written through the job's IoEnv, and a
+    // flipped bit in one is caught by its block CRC, naming the file.
+    testing::RecordingEnv env(/*flip_fragment=*/"/join-r");
+    options.io_env = &env;
+    auto run = RunAprioriIndex(ctx, options);
+    ASSERT_FALSE(env.flipped_path().empty());
+    ASSERT_FALSE(run.ok());
+    EXPECT_TRUE(run.status().IsCorruption()) << run.status().ToString();
+    const std::string flipped = env.flipped_path();
+    const std::string committed = flipped.substr(0, flipped.size() - 4);
+    EXPECT_EQ(flipped.substr(committed.size()), ".tmp");
+    EXPECT_NE(run.status().message().find(committed), std::string::npos)
+        << run.status().ToString();
+    EXPECT_TRUE(Leftovers(work_dir->path()).empty());
   }
+  {
+    // A retried reduce attempt rewrites its own spill files.
+    testing::RecordingEnv env(/*flip_fragment=*/"/join-r");
+    options.io_env = &env;
+    options.max_task_attempts = 3;
+    auto run = RunAprioriIndex(ctx, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_FALSE(env.flipped_path().empty());
+    EXPECT_TRUE(run->stats.SameAs(in_memory->stats));
+    EXPECT_TRUE(Leftovers(work_dir->path()).empty());
+  }
+}
+
+TEST(AprioriScanMethodTest, SpillingRunLeavesWorkDirEmpty) {
+  const Corpus corpus = testing::RandomCorpus(5, 800, 60, 4, 12);
+  const CorpusContext ctx = BuildCorpusContext(corpus);
+  NgramJobOptions options = TestOptions(Method::kAprioriScan, 2, 5);
+  auto in_memory = RunAprioriScan(ctx, options);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+
+  auto work_dir = TempDir::Create("apriori-scan-workdir");
+  ASSERT_TRUE(work_dir.ok());
+  testing::RecordingEnv env;
+  options.io_env = &env;
+  options.work_dir = work_dir->path().string();
+  options.reducer_memory_budget_bytes = 1;  // Spill every dictionary.
+  auto spilled = RunAprioriScan(ctx, options);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  EXPECT_TRUE(AnyPathContains(env.written(), "/apriori-scan-dict-k"));
+  EXPECT_TRUE(spilled->stats.SameAs(in_memory->stats));
+  const std::vector<std::string> leftovers = Leftovers(work_dir->path());
   EXPECT_TRUE(leftovers.empty())
       << leftovers.size() << " leftover(s), first: " << leftovers.front();
 }
