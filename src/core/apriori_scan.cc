@@ -3,6 +3,7 @@
 #include "core/counting.h"
 #include "index/sequence_set.h"
 #include "util/logging.h"
+#include "util/temp_dir.h"
 
 namespace ngram {
 
@@ -97,6 +98,10 @@ Result<NgramRun> RunAprioriScan(const CorpusContext& ctx,
     combiner = mr::SumCombiner();
   }
 
+  // Dictionary spills go to work_dir, or to a private temp dir that
+  // outlives every dictionary (declared first, so removed last).
+  std::unique_ptr<TempDir> spill_dir;
+  std::string dict_dir = options.work_dir;
   std::shared_ptr<const SequenceSet> dict;  // Frequent (k-1)-grams.
   for (uint32_t k = 1; k <= sigma; ++k) {
     mr::JobConfig config =
@@ -132,13 +137,17 @@ Result<NgramRun> RunAprioriScan(const CorpusContext& ctx,
       // Build the dictionary for iteration k+1 straight from this
       // iteration's serialized output: the record keys already ARE the
       // encoded k-grams, so inserts are slice copies, not re-encodes.
+      if (dict_dir.empty()) {
+        NGRAM_ASSIGN_OR_RETURN(TempDir created,
+                               TempDir::Create("ngram-apriori-scan"));
+        spill_dir = std::make_unique<TempDir>(std::move(created));
+        dict_dir = spill_dir->path().string();
+      }
       SequenceSet::Options dict_options;
       dict_options.env = options.io_env;
-      if (!options.work_dir.empty()) {
-        dict_options.memory_budget_bytes = options.reducer_memory_budget_bytes;
-        dict_options.spill_prefix =
-            options.work_dir + "/apriori-scan-dict-k" + std::to_string(k);
-      }
+      dict_options.memory_budget_bytes = options.reducer_memory_budget_bytes;
+      dict_options.spill_prefix =
+          dict_dir + "/apriori-scan-dict-k" + std::to_string(k);
       auto next_dict = std::make_shared<SequenceSet>(dict_options);
       auto reader = output.NewReader();
       while (reader->Next()) {

@@ -3,8 +3,9 @@
 // constituent (k-1)-grams were frequent in the previous iteration; the
 // dictionary of frequent (k-1)-grams is shipped to every mapper (the
 // paper's distributed-cache replica), kept in a compact SequenceSet that
-// moves to a sorted block run past its memory budget (spilling needs a
-// work_dir).
+// moves to a sorted block run past reducer_memory_budget_bytes — in
+// work_dir, or in a private temp dir removed on return when work_dir is
+// empty.
 //
 // Terminates after sigma iterations or when an iteration yields nothing.
 // Per-iteration administrative cost and the repeated full scans are the

@@ -792,7 +792,9 @@ Result<JobMetrics> RunJob(
               plan_outputs.cv.Wait();
             }
             snapshot = plan_outputs.runs;
-            generations = plan_outputs.generation;
+            // Copy-construct, then move: GCC 12 misreports copy-assignment
+            // into the empty vector as a null memmove (-Wnonnull).
+            generations = std::vector<uint32_t>(plan_outputs.generation);
           }
           // The attempt's sources: every (task, run) of the snapshot in
           // map-task-id order — the source-order tie-break.

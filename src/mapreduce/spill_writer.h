@@ -125,19 +125,6 @@ class SpillWriter : public RunWriter {
   Status close_status_;
 };
 
-/// RecordSink adapter over a SpillWriter — kept for call sites that are
-/// explicitly raw-format; generic paths use RunWriterSink (runfile.h).
-class SpillWriterSink final : public RecordSink {
- public:
-  explicit SpillWriterSink(SpillWriter* writer) : writer_(writer) {}
-  Status Append(Slice key, Slice value) override {
-    return writer_->Append(key, value);
-  }
-
- private:
-  SpillWriter* writer_;
-};
-
 /// Recomputes the CRC-32 of `path` and checks it against `expected`.
 /// Returns Corruption on mismatch (used by tests and recovery tooling).
 Status VerifySpillFileCrc32(const std::string& path, uint32_t expected,

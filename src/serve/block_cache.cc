@@ -44,19 +44,6 @@ void BlockCache::Insert(const BlockKey& key,
   EvictIfNeeded();
 }
 
-void BlockCache::EraseFile(uint64_t file_id) {
-  MutexLock lock(&mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->key.file_id == file_id) {
-      charged_bytes_.fetch_sub(it->block->size(), std::memory_order_relaxed);
-      index_.erase(it->key);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void BlockCache::EvictIfNeeded() {
   while (charged_bytes_.load(std::memory_order_relaxed) > capacity_bytes_ &&
          !lru_.empty()) {

@@ -79,9 +79,6 @@ class BlockCache {
   void Insert(const BlockKey& key, std::shared_ptr<const std::string> block)
       NGRAM_EXCLUDES(mu_);
 
-  /// Drops every block belonging to `file_id` (file deleted / truncated).
-  void EraseFile(uint64_t file_id) NGRAM_EXCLUDES(mu_);
-
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   uint64_t inserts() const { return inserts_.load(std::memory_order_relaxed); }

@@ -10,7 +10,9 @@ namespace ngram::serve {
 
 namespace {
 
-constexpr char kMagic[4] = {'N', 'G', 'S', 'M'};
+constexpr char kMagic[4] = {'N', 'G', 'S', '2'};
+/// Magic of the format before the completion segment.
+constexpr char kOldMagic[4] = {'N', 'G', 'S', 'M'};
 
 void PutLengthPrefixed(std::string* out, const std::string& s) {
   PutVarint64(out, s.size());
@@ -31,6 +33,49 @@ std::string ManifestPath(const std::string& dir) {
   return dir + "/" + kManifestFileName;
 }
 
+void PutSegment(std::string* out, const ShardEntry& segment) {
+  PutLengthPrefixed(out, segment.file_name);
+  PutVarint64(out, segment.file_size);
+  PutVarint64(out, segment.num_records);
+  PutLengthPrefixed(out, segment.min_key);
+  PutLengthPrefixed(out, segment.max_key);
+  PutVarint64(out, segment.blocks.size());
+  for (const BlockEntry& block : segment.blocks) {
+    PutLengthPrefixed(out, block.first_key);
+    PutVarint64(out, block.offset);
+    PutVarint64(out, block.length);
+  }
+}
+
+/// Parses one segment entry; false when a field is malformed.
+bool GetSegment(Slice* in, ShardEntry* segment) {
+  uint64_t num_blocks = 0;
+  if (!GetLengthPrefixed(in, &segment->file_name) ||
+      !GetVarint64(in, &segment->file_size) ||
+      !GetVarint64(in, &segment->num_records) ||
+      !GetLengthPrefixed(in, &segment->min_key) ||
+      !GetLengthPrefixed(in, &segment->max_key) ||
+      !GetVarint64(in, &num_blocks)) {
+    return false;
+  }
+  // Every block entry takes at least three bytes: a corrupt count must
+  // not drive a huge reserve.
+  if (num_blocks > in->size() / 3) {
+    return false;
+  }
+  segment->blocks.reserve(static_cast<size_t>(num_blocks));
+  for (uint64_t b = 0; b < num_blocks; ++b) {
+    BlockEntry block;
+    if (!GetLengthPrefixed(in, &block.first_key) ||
+        !GetVarint64(in, &block.offset) ||
+        !GetVarint64(in, &block.length)) {
+      return false;
+    }
+    segment->blocks.push_back(std::move(block));
+  }
+  return true;
+}
+
 }  // namespace
 
 Status WriteManifest(const Manifest& manifest, const std::string& dir,
@@ -42,18 +87,9 @@ Status WriteManifest(const Manifest& manifest, const std::string& dir,
   PutVarint64(&payload, manifest.block_bytes);
   PutVarint64(&payload, manifest.shards.size());
   for (const ShardEntry& shard : manifest.shards) {
-    PutLengthPrefixed(&payload, shard.file_name);
-    PutVarint64(&payload, shard.file_size);
-    PutVarint64(&payload, shard.num_records);
-    PutLengthPrefixed(&payload, shard.min_key);
-    PutLengthPrefixed(&payload, shard.max_key);
-    PutVarint64(&payload, shard.blocks.size());
-    for (const BlockEntry& block : shard.blocks) {
-      PutLengthPrefixed(&payload, block.first_key);
-      PutVarint64(&payload, block.offset);
-      PutVarint64(&payload, block.length);
-    }
+    PutSegment(&payload, shard);
   }
+  PutSegment(&payload, manifest.completions);
 
   std::string file(kMagic, sizeof(kMagic));
   file += payload;
@@ -91,6 +127,12 @@ Status ReadManifest(const std::string& dir, Manifest* manifest,
     got += n;
   }
 
+  if (content.size() >= sizeof(kOldMagic) &&
+      memcmp(content.data(), kOldMagic, sizeof(kOldMagic)) == 0) {
+    return corrupt(
+        "serving manifest of an older format (no completion segment); "
+        "rebuild the serving directory");
+  }
   if (content.size() < sizeof(kMagic) + 4 ||
       memcmp(content.data(), kMagic, sizeof(kMagic)) != 0) {
     return corrupt("not a serving manifest");
@@ -115,29 +157,15 @@ Status ReadManifest(const std::string& dir, Manifest* manifest,
     return corrupt("malformed manifest header");
   }
   out.max_order = static_cast<uint32_t>(max_order);
-  out.shards.reserve(static_cast<size_t>(num_shards));
   for (uint64_t s = 0; s < num_shards; ++s) {
     ShardEntry shard;
-    uint64_t num_blocks = 0;
-    if (!GetLengthPrefixed(&cursor, &shard.file_name) ||
-        !GetVarint64(&cursor, &shard.file_size) ||
-        !GetVarint64(&cursor, &shard.num_records) ||
-        !GetLengthPrefixed(&cursor, &shard.min_key) ||
-        !GetLengthPrefixed(&cursor, &shard.max_key) ||
-        !GetVarint64(&cursor, &num_blocks)) {
+    if (!GetSegment(&cursor, &shard)) {
       return corrupt("malformed shard entry");
     }
-    shard.blocks.reserve(static_cast<size_t>(num_blocks));
-    for (uint64_t b = 0; b < num_blocks; ++b) {
-      BlockEntry block;
-      if (!GetLengthPrefixed(&cursor, &block.first_key) ||
-          !GetVarint64(&cursor, &block.offset) ||
-          !GetVarint64(&cursor, &block.length)) {
-        return corrupt("malformed block entry");
-      }
-      shard.blocks.push_back(std::move(block));
-    }
     out.shards.push_back(std::move(shard));
+  }
+  if (!GetSegment(&cursor, &out.completions)) {
+    return corrupt("malformed completion segment entry");
   }
   if (!cursor.empty()) {
     return corrupt("trailing manifest bytes");

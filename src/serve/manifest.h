@@ -13,19 +13,36 @@
 // order for multi-byte varints; the builder sorts keys bytewise and
 // every reader compares bytewise, so the two orders never mix.)
 //
+// Besides the key-range shards, a serving directory holds one completion
+// segment: a block run file in the same format, keyed by encoded prefix
+// (the empty key is the root), whose value is the prefix's complete list
+// of one-term continuations, ranked by count descending then term id
+// ascending:
+//
+//   list     := ([term varint32][count varint64])*
+//
+// It covers every stored P.t, whether or not P itself is stored (maximal
+// and closed tables hold such orphan prefixes), so a top-k query is one
+// point lookup instead of a scan over every stored extension of P.
+//
 // On-disk format of `MANIFEST`:
 //
-//   file     := magic "NGSM" payload crc32 fixed32   (CRC over payload)
+//   file     := magic "NGS2" payload crc32 fixed32   (CRC over payload)
 //   payload  := [total_records varint][total_unigrams varint]
 //               [max_order varint][block_bytes varint]
-//               [num_shards varint] shard*
+//               [num_shards varint] shard* completions
 //   shard    := [name_len varint][name][file_size varint]
 //               [num_records varint][min_key_len varint][min_key]
 //               [max_key_len varint][max_key][num_blocks varint] block*
 //   block    := [first_key_len varint][first_key]
 //               [offset varint][length varint]
+//   completions := shard   (num_records = number of lists; a table
+//                           with no lists has no blocks and an empty file)
 //
-// Block extents cover the segment file exactly (blocks back to back, no
+// The older magic "NGSM" (no completion segment) is refused with
+// Corruption: such a directory must be rebuilt.
+//
+// Block extents cover each segment file exactly (blocks back to back, no
 // trailer), so any bit flip in a segment lands inside some indexed block
 // and is caught by that block's CRC-32 when it is decoded. A bit flip in
 // the manifest itself is caught by the manifest CRC at Open().
@@ -42,6 +59,8 @@ namespace ngram::serve {
 
 /// Name of the manifest file inside a serving directory.
 inline constexpr char kManifestFileName[] = "MANIFEST";
+/// Name of the completion segment inside a serving directory.
+inline constexpr char kCompletionsFileName[] = "completions.run";
 
 /// One block of a shard segment: its first key and byte extent.
 struct BlockEntry {
@@ -50,13 +69,14 @@ struct BlockEntry {
   uint64_t length = 0;    // Header + payload + CRC trailer.
 };
 
-/// One shard: a contiguous bytewise key range served by one segment file.
+/// One segment file — a shard, or the completion segment — and the
+/// contiguous bytewise key range it stores.
 struct ShardEntry {
   std::string file_name;  // Relative to the serving directory.
   uint64_t file_size = 0;
   uint64_t num_records = 0;
-  std::string min_key;  // First (smallest) key stored in the shard.
-  std::string max_key;  // Last (largest) key stored in the shard.
+  std::string min_key;  // First (smallest) key stored in the segment.
+  std::string max_key;  // Last (largest) key stored in the segment.
   std::vector<BlockEntry> blocks;
 };
 
@@ -71,6 +91,8 @@ struct Manifest {
   /// Block payload target the builder used (informational).
   uint64_t block_bytes = 0;
   std::vector<ShardEntry> shards;  // Ordered by min_key.
+  /// The ranked continuation lists, keyed by encoded prefix.
+  ShardEntry completions;
 };
 
 /// Writes `manifest` to `dir`/MANIFEST (CRC-protected).

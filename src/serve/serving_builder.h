@@ -2,7 +2,9 @@
 // `ngram_tool build-serving` step. Entries are encoded, sorted bytewise,
 // split into `num_shards` contiguous key ranges balanced by byte size,
 // and written as block run files (runfile.h: front-coded keys, per-block
-// CRC-32) plus a MANIFEST recording shard boundaries and block extents.
+// CRC-32). A completion segment in the same format holds every prefix's
+// ranked list of one-term continuations (manifest.h), and a MANIFEST
+// records segment boundaries and block extents.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +30,10 @@ struct BuildServingOptions {
   mr::IoEnv* env = nullptr;
 };
 
-/// Writes serving shards for `stats` into existing directory `dir`
-/// (overwriting any previous MANIFEST and shard files of the same
-/// count). `stats` need not be sorted; entries must be distinct n-grams,
-/// as every method's output is.
+/// Writes serving shards and the completion segment for `stats` into
+/// existing directory `dir` (replacing any previous MANIFEST, shard files
+/// and completion segment). `stats` need not be sorted; entries must be
+/// distinct, non-empty n-grams, as every method's output is.
 Status BuildServingShards(const NgramStatistics& stats,
                           const std::string& dir,
                           const BuildServingOptions& options = {});

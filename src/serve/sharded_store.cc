@@ -24,6 +24,40 @@ Status UnparsableBlock(const std::string& path) {
   return Status::Corruption("unparsable verified block of " + path);
 }
 
+/// Maps the segment `entry` of `dir` and checks that its block extents
+/// tile the file; an empty segment (no blocks) is allowed only when
+/// `may_be_empty`.
+Status MapSegment(const std::string& dir, const ShardEntry& entry,
+                  bool may_be_empty, mr::IoEnv* env, std::string* path,
+                  std::unique_ptr<mr::MmapFile>* mapping) {
+  *path = dir + "/" + entry.file_name;
+  NGRAM_RETURN_NOT_OK(env->NewMmapFile(*path, mapping));
+  if ((*mapping)->data().size() != entry.file_size) {
+    return Status::Corruption(
+        *path + ": size " + std::to_string((*mapping)->data().size()) +
+        " does not match manifest (" + std::to_string(entry.file_size) +
+        ")");
+  }
+  // The manifest CRC already vouches for the index itself; this checks
+  // that the index and the segment agree — blocks must tile the file.
+  uint64_t expected_offset = 0;
+  for (const BlockEntry& block : entry.blocks) {
+    if (block.offset != expected_offset || block.length == 0) {
+      return Status::Corruption(*path +
+                                ": manifest block extents do not tile "
+                                "the segment");
+    }
+    expected_offset += block.length;
+  }
+  if (expected_offset != entry.file_size ||
+      (entry.blocks.empty() && !may_be_empty)) {
+    return Status::Corruption(*path +
+                              ": manifest block extents do not tile "
+                              "the segment");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::shared_ptr<const ShardedStatsStore>> ShardedStatsStore::Open(
@@ -40,35 +74,19 @@ Result<std::shared_ptr<const ShardedStatsStore>> ShardedStatsStore::Open(
   store->shards_.reserve(store->manifest_.shards.size());
   for (const ShardEntry& entry : store->manifest_.shards) {
     Shard shard;
-    shard.path = dir + "/" + entry.file_name;
     shard.entry = &entry;
     shard.cache_file_id = kv::AllocateCacheFileId();
-    NGRAM_RETURN_NOT_OK(env->NewMmapFile(shard.path, &shard.mapping));
-    if (shard.mapping->data().size() != entry.file_size) {
-      return Status::Corruption(
-          shard.path + ": size " +
-          std::to_string(shard.mapping->data().size()) +
-          " does not match manifest (" + std::to_string(entry.file_size) +
-          ")");
-    }
-    // The manifest CRC already vouches for the index itself; this checks
-    // that the index and the segment agree — blocks must tile the file.
-    uint64_t expected_offset = 0;
-    for (const BlockEntry& block : entry.blocks) {
-      if (block.offset != expected_offset || block.length == 0) {
-        return Status::Corruption(shard.path +
-                                  ": manifest block extents do not tile "
-                                  "the segment");
-      }
-      expected_offset += block.length;
-    }
-    if (expected_offset != entry.file_size || entry.blocks.empty()) {
-      return Status::Corruption(shard.path +
-                                ": manifest block extents do not tile "
-                                "the segment");
-    }
+    NGRAM_RETURN_NOT_OK(MapSegment(dir, entry, /*may_be_empty=*/false, env,
+                                   &shard.path, &shard.mapping));
     store->shards_.push_back(std::move(shard));
   }
+  CompletionSegment& completions = store->completions_;
+  completions.entry = &store->manifest_.completions;
+  NGRAM_RETURN_NOT_OK(MapSegment(dir, *completions.entry,
+                                 /*may_be_empty=*/true, env,
+                                 &completions.path, &completions.mapping));
+  completions.checked = std::make_unique<std::atomic<bool>[]>(
+      completions.entry->blocks.size());
   return std::shared_ptr<const ShardedStatsStore>(std::move(store));
 }
 
@@ -203,6 +221,63 @@ Status ShardedStatsStore::ScanRange(
         return UnparsableBlock(shard.path);
       }
     }
+  }
+  return Status::OK();
+}
+
+Status ShardedStatsStore::Completions(
+    Slice prefix, size_t limit,
+    const std::function<void(TermId, uint64_t)>& fn) const {
+  const CompletionSegment& segment = completions_;
+  const ShardEntry& entry = *segment.entry;
+  if (limit == 0 || entry.blocks.empty() ||
+      prefix.compare(entry.min_key) < 0 ||
+      prefix.compare(entry.max_key) > 0) {
+    return Status::OK();
+  }
+  const size_t b = static_cast<size_t>(BlockOf(entry, prefix));
+  const BlockEntry& block = entry.blocks[b];
+  const Slice file = segment.mapping->data();
+  Slice payload;
+  if (segment.checked[b].load()) {
+    Slice framed(file.data() + block.offset,
+                 static_cast<size_t>(block.length));
+    uint64_t payload_len = 0;
+    GetVarint64(&framed, &payload_len);  // Checked with the block.
+    payload = Slice(framed.data(), static_cast<size_t>(payload_len));
+  } else {
+    uint64_t next_offset = 0;
+    NGRAM_RETURN_NOT_OK(mr::ReadBlockAt(file, block.offset, segment.path,
+                                        &payload, &next_offset));
+    if (next_offset != block.offset + block.length) {
+      return Status::Corruption(
+          "block at offset " + std::to_string(block.offset) + " of " +
+          segment.path + " does not match its manifest extent");
+    }
+    segment.checked[b].store(true);
+  }
+  mr::BlockCursor cursor(payload);
+  Slice list;
+  if (!cursor.Find(prefix, &list)) {
+    return cursor.ok() ? Status::OK() : UnparsableBlock(segment.path);
+  }
+  // The block CRC vouches for the bytes; the pairs are still parsed with
+  // bounds checks and must be ranked, so a malformed list is Corruption
+  // rather than a wrong answer.
+  uint64_t prev_count = 0;
+  TermId prev_term = 0;
+  for (size_t i = 0; i < limit && !list.empty(); ++i) {
+    TermId term = 0;
+    uint64_t count = 0;
+    if (!GetVarint32(&list, &term) || !GetVarint64(&list, &count) ||
+        (i > 0 && (count > prev_count ||
+                   (count == prev_count && term <= prev_term)))) {
+      return Status::Corruption("malformed completion list in " +
+                                segment.path);
+    }
+    fn(term, count);
+    prev_count = count;
+    prev_term = term;
   }
   return Status::OK();
 }

@@ -2,12 +2,13 @@
 // the statistics a batch run computed.
 //
 // A store is an immutable snapshot: Open() reads the CRC-verified
-// MANIFEST, mmaps every shard segment, and from then on nothing mutates —
-// point lookups and range scans touch only const state, so any number of
-// threads query one store with no locking. The single synchronization
-// point on the read path is the (optional) BlockCache's LRU mutex; with
-// caching disabled even that disappears and every query reads its block
-// in place from the mapping.
+// MANIFEST, mmaps every shard segment and the completion segment, and
+// from then on nothing mutates but the completion segment's per-block
+// "checked" flags (atomics, set once) — so any number of threads query
+// one store with no locking. The single synchronization point on the
+// read path is the (optional) BlockCache's LRU mutex; with caching
+// disabled even that disappears and every query reads its block in place
+// from the mapping.
 //
 // Read path of Count(key):
 //   route:  binary-search the shard table by min_key        (no I/O)
@@ -22,17 +23,31 @@
 //           front-coded entries in place (mr::BlockCursor), comparing
 //           each entry's key suffix against the probe without rebuilding
 //           keys
+//
+// Read path of Completions(prefix):
+//   route:  binary-search the completion segment's block index (no I/O)
+//   check:  on the block's first use, its extent, CRC and structure in
+//           the mmap (mr::ReadBlockAt); one atomic flag per block records
+//           a passed check, so later reads skip it. A failed check sets no
+//           flag and fails again on every attempt
+//   seek:   mr::BlockCursor::Find of the prefix, then decode the first
+//           pairs of its ranked list in place
+// Completion blocks never enter the BlockCache: they would evict the
+// shard blocks Count depends on, and once checked they cost nothing to
+// read in place.
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "serve/block_cache.h"
+#include "encoding/sequence.h"
 #include "mapreduce/io_env.h"
+#include "serve/block_cache.h"
 #include "serve/manifest.h"
 #include "util/macros.h"
 #include "util/result.h"
@@ -81,6 +96,13 @@ class ShardedStatsStore {
   Status ScanRange(Slice lower, Slice upper,
                    const std::function<bool(Slice, uint64_t)>& fn) const;
 
+  /// Invokes `fn(term, count)` for the stored one-term extensions of the
+  /// encoded prefix `prefix` (empty = the root, whose extensions are the
+  /// unigrams), at most `limit` of them, ranked by count descending then
+  /// term ascending. A prefix with no stored extension invokes nothing.
+  Status Completions(Slice prefix, size_t limit,
+                     const std::function<void(TermId, uint64_t)>& fn) const;
+
   /// Index of the shard whose key range would hold `key` (the router).
   /// Exposed for the router property tests; -1 when the store is empty.
   int ShardOf(Slice key) const;
@@ -102,6 +124,15 @@ class ShardedStatsStore {
     const ShardEntry* entry = nullptr;  // Into manifest_.shards.
   };
 
+  /// The completion segment: read in place, checked once per block.
+  struct CompletionSegment {
+    std::string path;
+    std::unique_ptr<mr::MmapFile> mapping;
+    const ShardEntry* entry = nullptr;  // &manifest_.completions.
+    /// Per block: its extent, CRC and structure were checked.
+    std::unique_ptr<std::atomic<bool>[]> checked;
+  };
+
   ShardedStatsStore() = default;
 
   /// Sets `*payload` to the verified payload of block `block_index` of
@@ -120,6 +151,7 @@ class ShardedStatsStore {
   std::string dir_;
   Manifest manifest_;
   std::vector<Shard> shards_;
+  CompletionSegment completions_;
   std::shared_ptr<kv::BlockCache> cache_;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "encoding/sequence.h"
@@ -10,46 +10,6 @@
 namespace ngram::serve {
 
 namespace {
-
-/// Smallest byte string greater than every string prefixed by `prefix`:
-/// increment the last byte, dropping trailing 0xFF bytes first. An empty
-/// result means no such string exists (all-0xFF prefix) — callers pass it
-/// to ScanRange, where empty upper = unbounded.
-std::string PrefixSuccessor(const std::string& prefix) {
-  std::string successor = prefix;
-  while (!successor.empty()) {
-    if (static_cast<unsigned char>(successor.back()) != 0xFF) {
-      successor.back() = static_cast<char>(
-          static_cast<unsigned char>(successor.back()) + 1);
-      return successor;
-    }
-    successor.pop_back();
-  }
-  return successor;
-}
-
-/// Invokes `fn(term, count)` for every stored n-gram extending `prefix` by
-/// exactly one term, in ascending term-byte order. The encoded keys in
-/// [P, successor(P)) are exactly the keys byte-prefixed by P (the codec is
-/// prefix-preserving and varint boundaries self-delimit, see manifest.h);
-/// one-term extensions are those whose remainder parses as one varint.
-Status ScanContinuations(const ShardedStatsStore& store,
-                         const TermSequence& prefix,
-                         const std::function<void(TermId, uint64_t)>& fn) {
-  std::string lower;
-  SequenceCodec::Encode(prefix, &lower);
-  const std::string upper = PrefixSuccessor(lower);
-  return store.ScanRange(
-      Slice(lower), Slice(upper), [&](Slice key, uint64_t count) {
-        Slice rest(key.data() + lower.size(), key.size() - lower.size());
-        SequenceReader reader(rest);
-        TermId term = 0;
-        if (reader.Next(&term) && reader.AtEnd()) {
-          fn(term, count);
-        }
-        return true;  // Longer extensions intersperse; keep scanning.
-      });
-}
 
 /// FrequencySource over an open sharded store — what lets the
 /// StupidBackoffModel score interactive queries without ever
@@ -78,7 +38,9 @@ class ServedFrequencySource final : public lm::FrequencySource {
   Status ForEachContinuation(
       const TermSequence& prefix,
       const std::function<void(TermId, uint64_t)>& fn) const override {
-    return ScanContinuations(*store_, prefix, fn);
+    std::string key;
+    SequenceCodec::Encode(prefix, &key);
+    return store_->Completions(Slice(key), SIZE_MAX, fn);
   }
 
  private:
@@ -137,33 +99,13 @@ Result<uint64_t> StatsService::Count(const TermSequence& ngram) const {
 Result<std::vector<Completion>> StatsService::TopKCompletions(
     const TermSequence& prefix, size_t k) const {
   std::vector<Completion> top;
-  if (k == 0) {
-    return top;
-  }
-  // `ranks_before(a, b)`: a sorts ahead of b in the result order.
-  const auto ranks_before = [](const Completion& a, const Completion& b) {
-    if (a.count != b.count) {
-      return a.count > b.count;
-    }
-    return a.term < b.term;
-  };
-  // Bounded selection: `top` is a heap of at most k completions whose
-  // front is the lowest-ranked one kept, so each continuation costs
-  // O(log k) instead of a full sort of every continuation.
+  std::string key;
+  SequenceCodec::Encode(prefix, &key);
   const std::shared_ptr<const Snapshot> snap = snapshot();
-  NGRAM_RETURN_NOT_OK(ScanContinuations(
-      *snap->store, prefix, [&](TermId term, uint64_t count) {
-        const Completion c{term, count};
-        if (top.size() < k) {
-          top.push_back(c);
-          std::push_heap(top.begin(), top.end(), ranks_before);
-        } else if (ranks_before(c, top.front())) {
-          std::pop_heap(top.begin(), top.end(), ranks_before);
-          top.back() = c;
-          std::push_heap(top.begin(), top.end(), ranks_before);
-        }
+  NGRAM_RETURN_NOT_OK(snap->store->Completions(
+      Slice(key), k, [&top](TermId term, uint64_t count) {
+        top.push_back(Completion{term, count});
       }));
-  std::sort_heap(top.begin(), top.end(), ranks_before);
   return top;
 }
 

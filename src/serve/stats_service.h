@@ -60,7 +60,8 @@ class StatsService {
   Result<uint64_t> Count(const TermSequence& ngram) const;
 
   /// The stored n-grams extending `prefix` by exactly one term, ordered
-  /// by descending count then ascending term id, at most `k`. Unlike the
+  /// by descending count then ascending term id, at most `k`: one lookup
+  /// of the prefix's ranked list in the completion segment. Unlike the
   /// model's TopContinuations this does not back off — it reports exactly
   /// what the statistics contain, so results are comparable bytewise
   /// across methods and shard counts.

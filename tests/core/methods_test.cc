@@ -306,6 +306,36 @@ TEST(AprioriScanMethodTest, SpillingRunLeavesWorkDirEmpty) {
       << leftovers.size() << " leftover(s), first: " << leftovers.front();
 }
 
+TEST(AprioriScanMethodTest, SpillsWithoutWorkDirAndLeavesNothing) {
+  const Corpus corpus = testing::RandomCorpus(5, 800, 60, 4, 12);
+  const CorpusContext ctx = BuildCorpusContext(corpus);
+  NgramJobOptions options = TestOptions(Method::kAprioriScan, 2, 5);
+  auto in_memory = RunAprioriScan(ctx, options);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+
+  ASSERT_TRUE(options.work_dir.empty());
+  testing::RecordingEnv env;
+  options.io_env = &env;
+  options.reducer_memory_budget_bytes = 1;  // Spill every dictionary.
+  auto spilled = RunAprioriScan(ctx, options);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  EXPECT_TRUE(spilled->stats.SameAs(in_memory->stats));
+  // The budget held with no work_dir: the dictionaries spilled, into a
+  // private directory that is gone with everything in it.
+  size_t dict_files = 0;
+  for (const std::string& path : env.written()) {
+    if (path.find("/apriori-scan-dict-k") == std::string::npos) {
+      continue;
+    }
+    ++dict_files;
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+    EXPECT_FALSE(std::filesystem::exists(
+        std::filesystem::path(path).parent_path()))
+        << path;
+  }
+  EXPECT_GT(dict_files, 0u);
+}
+
 TEST(MethodsTest, EmptyCorpusYieldsEmptyStats) {
   const Corpus corpus;
   const CorpusContext ctx = BuildCorpusContext(corpus);

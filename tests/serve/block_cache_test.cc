@@ -48,18 +48,6 @@ TEST(BlockCacheTest, ReplaceSameKeyUpdatesCharge) {
   EXPECT_EQ(*hit, "yyyy");
 }
 
-TEST(BlockCacheTest, EraseFileDropsOnlyThatFile) {
-  BlockCache cache(1024);
-  cache.Insert({1, 0}, Block("a"));
-  cache.Insert({1, 1}, Block("b"));
-  cache.Insert({2, 0}, Block("c"));
-  cache.EraseFile(1);
-  EXPECT_EQ(cache.Lookup({1, 0}), nullptr);
-  EXPECT_EQ(cache.Lookup({1, 1}), nullptr);
-  EXPECT_NE(cache.Lookup({2, 0}), nullptr);
-  EXPECT_EQ(cache.charged_bytes(), 1u);
-}
-
 TEST(BlockCacheTest, DistinctFilesDoNotCollide) {
   BlockCache cache(1024);
   cache.Insert({1, 7}, Block("file1"));

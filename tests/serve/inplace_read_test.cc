@@ -7,9 +7,13 @@
 //     prefix of a stored key, and cache capacities 0 / one block /
 //     unbounded;
 //   * CRC-valid but malformed blocks (the CRC recomputed after each edit)
-//     are Corruption naming the shard for every query type;
-//   * under seeded mutations of a segment (bit flips, truncated blocks,
-//     restart-array edits) every query answers right or with Corruption.
+//     are Corruption naming the segment for every query type: a shard
+//     block for Count and ScanRange, a completion block for
+//     TopKCompletions; so is a CRC-valid completion list out of rank
+//     order or cut short;
+//   * under seeded mutations of a segment — the shard or the completion
+//     segment (bit flips, truncated blocks, restart-array edits) — every
+//     query answers right or with Corruption naming that segment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -394,10 +398,20 @@ std::string SerializePayload(const RawBlock& block, size_t* entries_end) {
   return payload;
 }
 
-/// Payload of block `block` of shard `shard` in serving directory `dir`.
-std::string ReadPayload(const std::string& dir, size_t shard, size_t block) {
-  const Manifest manifest = ReadManifestOrDie(dir);
-  const ShardEntry& entry = manifest.shards[shard];
+/// Segment selector of the helpers below: a shard index, or this.
+constexpr size_t kCompletionSegment = SIZE_MAX;
+
+ShardEntry& SegmentOf(Manifest& manifest, size_t segment) {
+  return segment == kCompletionSegment ? manifest.completions
+                                       : manifest.shards[segment];
+}
+
+/// Payload of block `block` of segment `segment` in serving directory
+/// `dir`.
+std::string ReadPayload(const std::string& dir, size_t segment,
+                        size_t block) {
+  Manifest manifest = ReadManifestOrDie(dir);
+  const ShardEntry& entry = SegmentOf(manifest, segment);
   const std::string file = ReadFileBytes(dir + "/" + entry.file_name);
   const BlockEntry& extent = entry.blocks[block];
   Slice in(file.data() + extent.offset, extent.length);
@@ -406,12 +420,13 @@ std::string ReadPayload(const std::string& dir, size_t shard, size_t block) {
   return std::string(in.data(), payload_len);
 }
 
-/// Replaces block `block` of shard `shard` with the raw bytes `framed`
-/// and rewrites the manifest so the block extents still tile the file.
-void ReplaceBlockBytes(const std::string& dir, size_t shard, size_t block,
+/// Replaces block `block` of segment `segment` with the raw bytes
+/// `framed` and rewrites the manifest so the block extents still tile the
+/// file.
+void ReplaceBlockBytes(const std::string& dir, size_t segment, size_t block,
                        const std::string& framed) {
   Manifest manifest = ReadManifestOrDie(dir);
-  ShardEntry& entry = manifest.shards[shard];
+  ShardEntry& entry = SegmentOf(manifest, segment);
   const std::string path = dir + "/" + entry.file_name;
   std::string file = ReadFileBytes(path);
   BlockEntry& extent = entry.blocks[block];
@@ -508,6 +523,21 @@ const char* ExpectedReason(Malformation kind) {
 
 class MalformedBlockTest : public ::testing::TestWithParam<Malformation> {};
 
+/// Index of the first block after the first of `segment` that the
+/// malformations can edit: at least three entries and two restarts.
+size_t EditableBlock(const std::string& dir, size_t segment) {
+  Manifest manifest = ReadManifestOrDie(dir);
+  const ShardEntry& entry = SegmentOf(manifest, segment);
+  for (size_t b = 1; b < entry.blocks.size(); ++b) {
+    const RawBlock block = ParsePayload(ReadPayload(dir, segment, b));
+    if (block.entries.size() >= 3 && block.restarts.size() >= 2) {
+      return b;
+    }
+  }
+  ADD_FAILURE() << "no editable block in " << entry.file_name;
+  return 0;
+}
+
 TEST_P(MalformedBlockTest, EveryQueryTypeIsCorruptionNamingTheShard) {
   const NgramStatistics stats = FamilyStats(9, 60);
   auto dir = TempDir::Create("malformed-block");
@@ -523,20 +553,31 @@ TEST_P(MalformedBlockTest, EveryQueryTypeIsCorruptionNamingTheShard) {
   const size_t victim = 1;
   const std::string first_key = manifest.shards[0].blocks[victim].first_key;
   const std::string shard_path = root + "/" + manifest.shards[0].file_name;
+  // TopKCompletions reads the completion segment only: malform one of its
+  // blocks too, and ask for the prefix that block starts with.
+  const size_t completion_victim = EditableBlock(root, kCompletionSegment);
+  ASSERT_GT(completion_victim, 0u);
+  const std::string completion_key =
+      manifest.completions.blocks[completion_victim].first_key;
+  const std::string completion_path =
+      root + "/" + manifest.completions.file_name;
 
-  const std::string payload =
-      Malform(ReadPayload(root, 0, victim), GetParam());
-  ReplaceBlockBytes(root, 0, victim, FrameWithCrc(payload));
+  ReplaceBlockBytes(
+      root, 0, victim,
+      FrameWithCrc(Malform(ReadPayload(root, 0, victim), GetParam())));
+  ReplaceBlockBytes(
+      root, kCompletionSegment, completion_victim,
+      FrameWithCrc(Malform(
+          ReadPayload(root, kCompletionSegment, completion_victim),
+          GetParam())));
 
-  // The first term of the victim's first key: its continuation scan
-  // covers the victim block.
-  TermSequence first_seq;
-  ASSERT_TRUE(SequenceCodec::Decode(Slice(first_key), &first_seq));
-  const TermSequence prefix = {first_seq[0]};
+  TermSequence prefix;
+  ASSERT_TRUE(SequenceCodec::Decode(Slice(completion_key), &prefix));
 
-  auto expect_corruption = [&](const Status& st, const char* query) {
+  auto expect_corruption = [&](const Status& st, const std::string& path,
+                               const char* query) {
     EXPECT_TRUE(st.IsCorruption()) << query << ": " << st.ToString();
-    EXPECT_NE(st.ToString().find(shard_path), std::string::npos)
+    EXPECT_NE(st.ToString().find(path), std::string::npos)
         << query << ": " << st.ToString();
     EXPECT_NE(st.ToString().find(ExpectedReason(GetParam())),
               std::string::npos)
@@ -549,15 +590,17 @@ TEST_P(MalformedBlockTest, EveryQueryTypeIsCorruptionNamingTheShard) {
     auto service = StatsService::Open(root, serving);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     const ShardedStatsStore& store = *(*service)->store();
-    for (int attempt = 0; attempt < 2; ++attempt) {  // Nothing gets cached.
+    // Nothing gets cached, and a failed check marks nothing checked.
+    for (int attempt = 0; attempt < 2; ++attempt) {
       uint64_t count = 0;
-      expect_corruption(store.Count(Slice(first_key), &count), "Count");
+      expect_corruption(store.Count(Slice(first_key), &count), shard_path,
+                        "Count");
       expect_corruption(
           store.ScanRange(Slice(first_key), Slice(),
                           [](Slice, uint64_t) { return true; }),
-          "ScanRange");
+          shard_path, "ScanRange");
       expect_corruption((*service)->TopKCompletions(prefix, 10).status(),
-                        "TopKCompletions");
+                        completion_path, "TopKCompletions");
     }
   }
 }
@@ -588,41 +631,135 @@ INSTANTIATE_TEST_SUITE_P(
                       Malformation::kNoEntries),
     MalformationName);
 
+TEST(MalformedCompletionListTest, UnrankedOrTruncatedListIsCorruption) {
+  const NgramStatistics stats = FamilyStats(9, 60);
+  auto dir = TempDir::Create("malformed-list");
+  ASSERT_TRUE(dir.ok());
+  const std::string root = dir->path().string();
+  BuildServingOptions build;
+  build.num_shards = 1;
+  build.block_bytes = 128;
+  build.restart_interval = 2;
+  ASSERT_TRUE(BuildServingShards(stats, root, build).ok());
+  const Manifest manifest = ReadManifestOrDie(root);
+  const std::string completion_path =
+      root + "/" + manifest.completions.file_name;
+  const std::string pristine = ReadFileBytes(completion_path);
+
+  // The first list of at least two pairs: its block, entry and prefix.
+  size_t victim_block = 0;
+  size_t victim_entry = 0;
+  std::string victim_key;
+  bool found = false;
+  for (size_t b = 0; b < manifest.completions.blocks.size() && !found;
+       ++b) {
+    const RawBlock block =
+        ParsePayload(ReadPayload(root, kCompletionSegment, b));
+    std::string key;
+    for (size_t e = 0; e < block.entries.size(); ++e) {
+      const RawEntry& entry = block.entries[e];
+      key = key.substr(0, entry.shared) + entry.suffix;
+      Slice list(entry.value);
+      TermId term = 0;
+      uint64_t count = 0;
+      int pairs = 0;
+      while (GetVarint32(&list, &term) && GetVarint64(&list, &count)) {
+        ++pairs;
+      }
+      if (pairs >= 2) {
+        victim_block = b;
+        victim_entry = e;
+        victim_key = key;
+        found = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  TermSequence prefix;
+  ASSERT_TRUE(SequenceCodec::Decode(Slice(victim_key), &prefix));
+
+  // Two edits of the list, each framed with a valid CRC: the first two
+  // pairs swapped (out of rank order), and the last byte dropped (a
+  // truncated varint).
+  for (const bool swap : {true, false}) {
+    SCOPED_TRACE(swap ? "unranked" : "truncated");
+    WriteFileBytes(completion_path, pristine);
+    ASSERT_TRUE(WriteManifest(manifest, root).ok());
+    RawBlock block =
+        ParsePayload(ReadPayload(root, kCompletionSegment, victim_block));
+    std::string& value = block.entries[victim_entry].value;
+    if (swap) {
+      Slice list(value);
+      TermId term = 0;
+      uint64_t count = 0;
+      ASSERT_TRUE(GetVarint32(&list, &term) && GetVarint64(&list, &count));
+      const size_t first = value.size() - list.size();
+      ASSERT_TRUE(GetVarint32(&list, &term) && GetVarint64(&list, &count));
+      const size_t second = value.size() - list.size();
+      value = value.substr(first, second - first) + value.substr(0, first) +
+              value.substr(second);
+    } else {
+      value.pop_back();
+    }
+    size_t entries_end = 0;
+    ReplaceBlockBytes(root, kCompletionSegment, victim_block,
+                      FrameWithCrc(SerializePayload(block, &entries_end)));
+    for (const size_t cache_bytes : {size_t{0}, SIZE_MAX}) {
+      ServingOptions serving;
+      serving.cache_bytes = cache_bytes;
+      auto service = StatsService::Open(root, serving);
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      auto top = (*service)->TopKCompletions(prefix, 1000);
+      ASSERT_FALSE(top.ok());
+      EXPECT_TRUE(top.status().IsCorruption()) << top.status().ToString();
+      EXPECT_NE(top.status().ToString().find("malformed completion list"),
+                std::string::npos)
+          << top.status().ToString();
+      EXPECT_NE(top.status().ToString().find(completion_path),
+                std::string::npos)
+          << top.status().ToString();
+    }
+  }
+}
+
 // ------------------------------------------------ seeded mutation loop --
 
 /// Applies the mutation `seed` derives (SplitMix64-seeded, so a failing
-/// seed replays exactly) to the single shard of `dir`: a bit flip
+/// seed replays exactly) to the single shard of `dir` or to its
+/// completion segment, and returns the mutated file's path: a bit flip
 /// anywhere in the segment, a block cut short under its stale length and
 /// CRC, or a restart-array edit with the CRC recomputed. Restart edits
 /// either break the array's invariants (Corruption) or leave every slot
 /// on a whole-key entry in ascending order — a valid seek structure.
-void Mutate(const std::string& dir, uint64_t seed) {
+std::string Mutate(const std::string& dir, uint64_t seed) {
   Rng rng(seed);
-  const Manifest manifest = ReadManifestOrDie(dir);
-  const ShardEntry& shard = manifest.shards[0];
+  Manifest manifest = ReadManifestOrDie(dir);
+  const size_t segment = rng.OneIn(0.5) ? 0 : kCompletionSegment;
+  const ShardEntry& shard = SegmentOf(manifest, segment);
+  const std::string path = dir + "/" + shard.file_name;
   const size_t block = rng.Uniform(shard.blocks.size());
   switch (rng.Uniform(3)) {
     case 0: {
-      const std::string path = dir + "/" + shard.file_name;
       std::string file = ReadFileBytes(path);
       file[rng.Uniform(file.size())] ^= static_cast<char>(1u << rng.Uniform(8));
       WriteFileBytes(path, file);
-      return;
+      return path;
     }
     case 1: {
       // Keep the original header and CRC trailer around a shorter
       // payload.
-      const std::string payload = ReadPayload(dir, 0, block);
+      const std::string payload = ReadPayload(dir, segment, block);
       const size_t cut = 1 + rng.Uniform(payload.size() - 1);
       std::string framed;
       PutVarint64(&framed, payload.size());
       framed += payload.substr(0, payload.size() - cut);
       PutFixed32(&framed, Crc32(0, payload.data(), payload.size()));
-      ReplaceBlockBytes(dir, 0, block, framed);
-      return;
+      ReplaceBlockBytes(dir, segment, block, framed);
+      return path;
     }
     default: {
-      std::string payload = ReadPayload(dir, 0, block);
+      std::string payload = ReadPayload(dir, segment, block);
       const uint32_t num_restarts =
           DecodeFixed32(payload.data() + payload.size() - 4);
       const size_t array = payload.size() - 4 * (num_restarts + 1);
@@ -649,8 +786,8 @@ void Mutate(const std::string& dir, uint64_t seed) {
           EncodeFixed32To(slot(j), old_value);
           break;
       }
-      ReplaceBlockBytes(dir, 0, block, FrameWithCrc(payload));
-      return;
+      ReplaceBlockBytes(dir, segment, block, FrameWithCrc(payload));
+      return path;
     }
   }
 }
@@ -669,7 +806,10 @@ TEST(ServingMutationTest, SeededMutationsAnswerRightOrCorruption) {
   const Manifest pristine_manifest = ReadManifestOrDie(root);
   const std::string shard_path =
       root + "/" + pristine_manifest.shards[0].file_name;
+  const std::string completion_path =
+      root + "/" + pristine_manifest.completions.file_name;
   const std::string pristine_segment = ReadFileBytes(shard_path);
+  const std::string pristine_completions = ReadFileBytes(completion_path);
   const std::vector<std::string> probes = Probes(table);
   std::set<TermSequence> prefixes = {TermSequence{}};
   for (const auto& [seq, cf] : stats.entries) {
@@ -678,8 +818,10 @@ TEST(ServingMutationTest, SeededMutationsAnswerRightOrCorruption) {
 
   uint64_t right = 0;
   uint64_t corrupt = 0;
+  uint64_t completion_corrupt = 0;
   // Every query is either answered right or refused with Corruption
-  // naming the shard; anything else fails the seed.
+  // naming the mutated segment; anything else fails the seed.
+  std::string mutated;
   auto check = [&](const Status& st, bool answer_right, const char* query,
                    uint64_t seed) {
     if (st.ok()) {
@@ -688,15 +830,17 @@ TEST(ServingMutationTest, SeededMutationsAnswerRightOrCorruption) {
     } else {
       ASSERT_TRUE(st.IsCorruption()) << query << " seed " << seed << ": "
                                      << st.ToString();
-      ASSERT_NE(st.ToString().find(shard_path), std::string::npos)
+      ASSERT_NE(st.ToString().find(mutated), std::string::npos)
           << query << " seed " << seed << ": " << st.ToString();
       ++corrupt;
+      completion_corrupt += mutated == completion_path ? 1 : 0;
     }
   };
   for (uint64_t seed = 1; seed <= 240; ++seed) {
     WriteFileBytes(shard_path, pristine_segment);
+    WriteFileBytes(completion_path, pristine_completions);
     ASSERT_TRUE(WriteManifest(pristine_manifest, root).ok());
-    Mutate(root, seed);
+    mutated = Mutate(root, seed);
     for (const size_t cache_bytes : {size_t{0}, SIZE_MAX}) {
       ServingOptions serving;
       serving.cache_bytes = cache_bytes;
@@ -725,9 +869,10 @@ TEST(ServingMutationTest, SeededMutationsAnswerRightOrCorruption) {
       }
     }
   }
-  // The loop exercised both outcomes.
+  // The loop exercised both outcomes, and corruption in both segments.
   EXPECT_GT(right, 0u);
-  EXPECT_GT(corrupt, 0u);
+  EXPECT_GT(corrupt, completion_corrupt);
+  EXPECT_GT(completion_corrupt, 0u);
 }
 
 }  // namespace

@@ -155,6 +155,13 @@ TEST(ServingStressTest, SixteenThreadsTinyCacheAgreeWithExpectations) {
   EXPECT_GT(cache.evictions, 0u);
   EXPECT_EQ(cache.misses, cache.inserts);  // Every miss decoded + inserted.
   EXPECT_LE(cache.charged_bytes, size_t{512} + 4096);
+
+  // A second service over the same directory has checked no completion
+  // block yet: the threads race on every block's first-use check.
+  auto fresh = StatsService::Open(dir->path().string(), serving);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  HammerService(**fresh, expect, kThreads, kOpsPerThread, &failures);
+  EXPECT_EQ(failures.load(), 0u);
 }
 
 TEST(ServingStressTest, ReloadSwapsLayoutsUnderReaders) {
